@@ -15,6 +15,13 @@ The fabric moves :class:`Packet` objects between NICs.  Costs:
 Reception-side costs (DMA into host queues) are charged by the receiving
 NIC's engines, not here.
 
+There are two ways in, and one wire.  A host-side coroutine ``yield from``s
+:meth:`Fabric.transmit`; a NIC engine, which has no thread to suspend, calls
+:meth:`Fabric.inject` (or :meth:`Fabric.transmit_from_nic` to start it one
+kernel hop later) and gets ``then(ok, *args)`` called back.  Both queue on
+the source's injection link in one FIFO, and both hand the serialised packet
+to :meth:`Fabric._launch` (DESIGN.md §6, "Callback-form engines").
+
 Routing takes one of two wall-clock paths with identical modelled time: the
 **coalesced** path (healthy fabric, default) charges all hop transits at
 injection and moves the packet with a single analytically-summed delivery
@@ -119,7 +126,6 @@ class Fabric:
         self._link_us = config.link_us_per_byte
         self._hop_us = config.switch_hop_us + config.wire_prop_us
         self.hop_transits = 0  # per-hop events taken (detailed mode only)
-        self._tx_names: Dict[str, str] = {}  # kind -> "tx:<kind>" (per packet)
 
     # -- attachment ------------------------------------------------------
     def attach(self, nic) -> None:
@@ -146,6 +152,34 @@ class Fabric:
         asynchronously after the routing latency; point-to-point order is
         preserved because each source drains through one link and one path.
         """
+        link = self._tx_link(packet)
+        yield link.request()
+        yield self.sim.timeout((packet.nbytes + self.FRAME_BYTES) * self._link_us)
+        link.release()
+        self._launch(packet)
+
+    def inject(self, packet: Packet, then=None, *args) -> None:
+        """Callback form of :meth:`transmit`: serialise ``packet`` on its
+        source's injection link, put it on the wire, then call
+        ``then(ok, *args)``.  ``ok`` is False when the wire refused the
+        packet (:class:`FabricError`: partitioned fabric, no recovery
+        story); ``then`` runs first — it is the caller's ``finally`` — and
+        the error then propagates out of ``sim.run()``."""
+        self._tx_link(packet).hold(
+            (packet.nbytes + self.FRAME_BYTES) * self._link_us,
+            self._on_wire, packet, then, args,
+        )
+
+    def transmit_from_nic(self, packet: Packet, then=None, *args) -> None:
+        """Fire-and-forget :meth:`inject` from a NIC engine that goes on
+        with other work in the same instant (the next chunk's PCI fetch):
+        the injection starts one kernel hop later, behind whatever that
+        instant already queued on the link."""
+        self.sim.schedule_pooled(0.0, self.inject, (packet, then, *args))
+
+    def _tx_link(self, packet: Packet) -> Resource:
+        """The source's injection link, after the checks and the obs stamp
+        every transmission starts with."""
         if packet.dst_node not in self._nics:
             raise FabricError(f"transmit to unattached node {packet.dst_node}")
         link = self._tx_links.get(packet.src_node)
@@ -155,14 +189,27 @@ class Fabric:
             # injection timestamp rides the packet so _deliver can record
             # the wire span (link contention + serialisation + hops)
             packet.meta["obs_tx"] = self.sim.now
-        wire_bytes = packet.nbytes + self.FRAME_BYTES
-        yield link.request()
-        yield self.sim.timeout(wire_bytes * self._link_us)
-        link.release()
-        # seq is assigned at *wire* time, not coroutine start: broadcast
-        # replication stamps its copies after serialising, so a p2p packet
-        # that grabbed a seq early but then queued behind the broadcast on
-        # the injection link would otherwise carry an inverted seq
+        return link
+
+    def _on_wire(self, packet: Packet, then, args: tuple) -> None:
+        try:
+            self._launch(packet)
+        except BaseException:
+            if then is not None:
+                then(False, *args)
+            raise
+        if then is not None:
+            then(True, *args)
+
+    def _launch(self, packet: Packet) -> None:
+        """The serialised packet leaves the injection link: stamp its wire
+        sequence number, drop it if the rail is dead or the destination
+        unroutable, otherwise account its hops and schedule the delivery."""
+        # seq is assigned at *wire* time, not when the transmission was
+        # requested: broadcast replication stamps its copies after
+        # serialising, so a p2p packet that grabbed a seq early but then
+        # queued behind the broadcast on the injection link would otherwise
+        # carry an inverted seq
         packet.seq = next(self._tx_seq)
         if self.down:
             self.packets_lost += 1
@@ -258,7 +305,7 @@ class Fabric:
             raise FabricError(f"broadcast from unattached node {packet.src_node}")
         wire_bytes = packet.nbytes + self.FRAME_BYTES
         yield link.request()
-        yield self.sim.timeout(wire_bytes * self.config.link_us_per_byte)
+        yield self.sim.timeout(wire_bytes * self._link_us)
         link.release()
         for dst in dst_nodes:
             if dst not in self._nics:
@@ -284,14 +331,6 @@ class Fabric:
                 deliver_at = horizon
             self._arrival_horizon[key] = deliver_at
             self.sim.schedule(deliver_at - self.sim.now, self._deliver, copy)
-
-    def transmit_from_nic(self, packet: Packet) -> None:
-        """Callback-style injection used by NIC engines (fire and forget)."""
-        kind = packet.kind
-        name = self._tx_names.get(kind)
-        if name is None:
-            name = self._tx_names[kind] = f"tx:{kind}"
-        self.sim.spawn(self.transmit(packet), name=name)
 
     def set_loss(self, rate: float, seed: int = 0) -> None:
         """Fault injection: drop each ``droppable``-marked packet with

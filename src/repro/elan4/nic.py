@@ -50,6 +50,10 @@ class NicError(Exception):
     """Protocol misuse detected by the NIC model."""
 
 
+def _streamed() -> None:
+    """Completion of a cut-through tail: nothing to do."""
+
+
 class Elan4Nic:
     """One Elan4 QM-500 card."""
 
@@ -157,6 +161,20 @@ class Elan4Nic:
             return
         yield from self.pci.dma(flit)
         self.sim.spawn(self.pci.dma(nbytes - flit), name="dma-stream")
+
+    def stream_dma_then(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Callback form of :meth:`stream_dma` (the QDMA engine's): the same
+        bus traffic, then ``fn(*args)`` once the gating part has crossed."""
+        flit = self.config.nic_cutthrough_flit
+        if flit <= 0 or nbytes <= flit:
+            self.pci.dma_then(nbytes, fn, *args)
+        else:
+            self.pci.dma_then(flit, self._stream_rest, nbytes - flit, fn, args)
+
+    def _stream_rest(self, rest: int, fn: Callable[..., Any], args: tuple) -> None:
+        # the tail streams behind the pipeline: bus time, nobody waits on it
+        self.sim.schedule_pooled(0.0, self.pci.dma_then, (rest, _streamed))
+        fn(*args)
 
     # -- event engine ------------------------------------------------------
     def run_chain(self, op: ChainOp) -> None:

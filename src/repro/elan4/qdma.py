@@ -27,6 +27,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.elan4.capability import CapabilityError
 from repro.elan4.event import ChainOp, ElanEvent
 from repro.elan4.network import Packet
 from repro.hw.cpu import HostWordEvent
@@ -254,7 +255,15 @@ class QdmaEngine:
         return ChainOp(description=f"chained-qdma->{dst_vpid}/q{queue_id}", run=run)
 
     # -- NIC internals ---------------------------------------------------------
-    def _nic_send(
+    # Plain callbacks (DESIGN.md §6 "Callback-form engines"); the pending
+    # slot taken at command issue comes back on *every* exit — including
+    # fault-injection aborts (rail down mid-transmit, partitioned fabric),
+    # where a stranded slot would wedge the §4.1 finalization drain forever.
+    def _nic_send(self, *command) -> None:
+        """Command processing done: the send starts one kernel hop later."""
+        self.sim.schedule_pooled(0.0, self._send_begin, command)
+
+    def _send_begin(
         self,
         src_ctx: int,
         src_vpid: int,
@@ -265,66 +274,82 @@ class QdmaEngine:
         done: Optional[ElanEvent],
         fetch_host: bool,
     ) -> None:
-        def run() -> Generator:
-            from repro.elan4.capability import CapabilityError
+        self.sends += 1
+        obs_t0 = self.sim.now if self.nic.obs is not None else 0.0
+        if fetch_host and payload.nbytes > 0:
+            # cut-through fetch of the payload from host memory
+            self.nic.stream_dma_then(
+                payload.nbytes, self._send_packet,
+                src_ctx, src_vpid, dst_vpid, queue_id, payload, meta, done, obs_t0,
+            )
+        else:
+            self._send_packet(
+                src_ctx, src_vpid, dst_vpid, queue_id, payload, meta, done, obs_t0
+            )
 
-            self.sends += 1
+    def _send_packet(
+        self,
+        src_ctx: int,
+        src_vpid: int,
+        dst_vpid: int,
+        queue_id: int,
+        payload: np.ndarray,
+        meta: Dict[str, Any],
+        done: Optional[ElanEvent],
+        obs_t0: float,
+    ) -> None:
+        try:
+            dst_ctx = self.nic.resolve_vpid(dst_vpid)
+        except CapabilityError:
+            # the destination vanished between command issue and NIC
+            # processing: the route no longer exists, so the packet is
+            # discarded here (the host-side API validates loudly; the
+            # end-to-end reliability layer recovers when it matters)
+            self.nic.drop_packet(
+                Packet(self.nic.node_id, -1, payload.nbytes, "qdma", meta=dict(meta)),
+                reason=f"destination vpid {dst_vpid} released",
+            )
+            self._send_on_wire(True, src_ctx, done)
+            return
+        try:
+            pkt = Packet(
+                src_node=self.nic.node_id,
+                dst_node=dst_ctx.node_id,
+                nbytes=payload.nbytes,
+                kind="qdma",
+                meta={
+                    "src_vpid": src_vpid,
+                    "dst_ctx": dst_ctx.ctx,
+                    "queue_id": queue_id,
+                    **meta,
+                },
+                data=payload.copy(),
+            )
             obs = self.nic.obs
-            obs_t0 = self.sim.now if obs is not None else 0.0
-            # The pending slot taken at command issue must come back on
-            # *every* exit — including fault-injection aborts (rail down
-            # mid-transmit, partitioned fabric), where a stranded slot
-            # would wedge the §4.1 finalization drain forever.
-            try:
-                if fetch_host and payload.nbytes > 0:
-                    # cut-through fetch of the payload from host memory
-                    yield from self.nic.stream_dma(payload.nbytes)
-                try:
-                    dst_ctx = self.nic.resolve_vpid(dst_vpid)
-                except CapabilityError:
-                    # the destination vanished between command issue and NIC
-                    # processing: the route no longer exists, so the packet is
-                    # discarded here (the host-side API validates loudly; the
-                    # end-to-end reliability layer recovers when it matters)
-                    self.nic.drop_packet(
-                        Packet(self.nic.node_id, -1, payload.nbytes, "qdma",
-                               meta=dict(meta)),
-                        reason=f"destination vpid {dst_vpid} released",
-                    )
-                    if done is not None:
-                        done.fire()
-                    return
-                pkt = Packet(
-                    src_node=self.nic.node_id,
-                    dst_node=dst_ctx.node_id,
+            if obs is not None and meta.get("obs_tid") is not None:
+                # source-NIC work: command processing + host payload
+                # fetch over PCI, up to fabric injection
+                obs.flight_span(
+                    meta["obs_tid"],
+                    "nic",
+                    "tx",
+                    obs_t0,
+                    node=self.nic.node_id,
                     nbytes=payload.nbytes,
-                    kind="qdma",
-                    meta={
-                        "src_vpid": src_vpid,
-                        "dst_ctx": dst_ctx.ctx,
-                        "queue_id": queue_id,
-                        **meta,
-                    },
-                    data=payload.copy(),
                 )
-                if obs is not None and meta.get("obs_tid") is not None:
-                    # source-NIC work: command processing + host payload
-                    # fetch over PCI, up to fabric injection
-                    obs.flight_span(
-                        meta["obs_tid"],
-                        "nic",
-                        "tx",
-                        obs_t0,
-                        node=self.nic.node_id,
-                        nbytes=payload.nbytes,
-                    )
-                yield from self.nic.fabric.transmit(pkt)
-                if done is not None:
-                    done.fire()
-            finally:
-                self.nic.untrack_pending(src_ctx)
+            self.nic.fabric.inject(pkt, self._send_on_wire, src_ctx, done)
+        except BaseException:
+            self.nic.untrack_pending(src_ctx)
+            raise
 
-        self.sim.spawn(run(), name="qdma-send")
+    def _send_on_wire(self, ok: bool, src_ctx: int, done: Optional[ElanEvent]) -> None:
+        """The packet is on the wire (or was refused): the send buffer is
+        reusable, the pending slot returns."""
+        try:
+            if ok and done is not None:
+                done.fire()
+        finally:
+            self.nic.untrack_pending(src_ctx)
 
     # -- NIC receive path ----------------------------------------------------
     def handle_packet(self, pkt: Packet) -> None:
@@ -342,45 +367,50 @@ class QdmaEngine:
         q.free_slots -= 1
         q.inflight_deliveries += 1
         t_rx0 = self.sim.now if self.nic.obs is not None else 0.0
+        # cut-through DMA of the payload into the QSLOT host memory
+        self.sim.schedule_pooled(
+            0.0, self.nic.stream_dma_then,
+            (pkt.nbytes, self._deliver_landed, q, pkt, t_rx0),
+        )
 
-        def run() -> Generator:
-            # cut-through DMA of the payload into the QSLOT host memory
-            yield from self.nic.stream_dma(pkt.nbytes)
-            if q.destroyed:
-                # destroyed mid-delivery (context finalize / fault abort):
-                # destroy() already reset the slot accounting, so just drop
-                self.nic.drop_packet(pkt, reason="queue destroyed mid-delivery")
-                return
-            slot = q.slot_buffers[(q.arrivals + len(q._ready)) % q.nslots]
-            if pkt.data is not None and pkt.data.nbytes:
-                slot.write(pkt.data[: slot.nbytes])
-            yield self.sim.timeout(self.config.nic_deliver_us)
-            if q.destroyed:
-                self.nic.drop_packet(pkt, reason="queue destroyed mid-delivery")
-                return
-            q.inflight_deliveries -= 1
-            obs = self.nic.obs
-            if obs is not None and pkt.meta.get("obs_tid") is not None:
-                # destination-NIC work: QSLOT DMA + delivery to the queue
-                obs.flight_span(
-                    pkt.meta["obs_tid"],
-                    "nic",
-                    "rx",
-                    t_rx0,
-                    node=self.nic.node_id,
-                    nbytes=pkt.nbytes,
-                )
-            msg = QdmaMessage(
-                src_vpid=pkt.meta["src_vpid"],
+    def _deliver_landed(self, q: QdmaQueue, pkt: Packet, t_rx0: float) -> None:
+        if q.destroyed:
+            # destroyed mid-delivery (context finalize / fault abort):
+            # destroy() already reset the slot accounting, so just drop
+            self.nic.drop_packet(pkt, reason="queue destroyed mid-delivery")
+            return
+        slot = q.slot_buffers[(q.arrivals + len(q._ready)) % q.nslots]
+        if pkt.data is not None and pkt.data.nbytes:
+            slot.write(pkt.data[: slot.nbytes])
+        self.sim.schedule_pooled(
+            self.config.nic_deliver_us, self._deliver_done, (q, pkt, t_rx0)
+        )
+
+    def _deliver_done(self, q: QdmaQueue, pkt: Packet, t_rx0: float) -> None:
+        if q.destroyed:
+            self.nic.drop_packet(pkt, reason="queue destroyed mid-delivery")
+            return
+        q.inflight_deliveries -= 1
+        obs = self.nic.obs
+        if obs is not None and pkt.meta.get("obs_tid") is not None:
+            # destination-NIC work: QSLOT DMA + delivery to the queue
+            obs.flight_span(
+                pkt.meta["obs_tid"],
+                "nic",
+                "rx",
+                t_rx0,
+                node=self.nic.node_id,
                 nbytes=pkt.nbytes,
-                data=pkt.data if pkt.data is not None else np.empty(0, np.uint8),
-                meta={
-                    k: v
-                    for k, v in pkt.meta.items()
-                    if k not in ("src_vpid", "dst_ctx", "queue_id")
-                },
-                arrived_at=self.sim.now,
             )
-            q._enqueue(msg)
-
-        self.sim.spawn(run(), name="qdma-deliver")
+        msg = QdmaMessage(
+            src_vpid=pkt.meta["src_vpid"],
+            nbytes=pkt.nbytes,
+            data=pkt.data if pkt.data is not None else np.empty(0, np.uint8),
+            meta={
+                k: v
+                for k, v in pkt.meta.items()
+                if k not in ("src_vpid", "dst_ctx", "queue_id")
+            },
+            arrived_at=self.sim.now,
+        )
+        q._enqueue(msg)

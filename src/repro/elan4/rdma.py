@@ -120,67 +120,107 @@ class RdmaEngine:
         self.nic.track_pending(ctx)
         self.sim.schedule(self.config.nic_dma_issue_us, self._start, desc, ctx)
 
+    # -- NIC side -----------------------------------------------------------
+    # Plain callbacks: the DMA engine needs no thread to suspend.  Each
+    # zero-delay ``schedule_pooled`` below is a hop the model depends on —
+    # it orders same-instant work on the DMA engines, the PCI bus and the
+    # injection link (DESIGN.md §6, "Callback-form engines").
     def _start(self, desc: RdmaDescriptor, ctx: int) -> None:
         if desc.op == "write":
             self.writes_issued += 1
-            self.sim.spawn(self._run_write(desc, ctx), name="rdma-write")
+            self.sim.schedule_pooled(
+                0.0, self.nic.dma_engines.grant, (self._write_granted, desc, ctx)
+            )
         else:
             self.reads_issued += 1
-            self.sim.spawn(self._run_read_request(desc, ctx), name="rdma-read")
+            self.sim.schedule_pooled(0.0, self._read_request, (desc, ctx))
+
+    # -- the chunk pump -------------------------------------------------------
+    # Both sources of bulk data — a write's source side and a read's data
+    # holder — hold a DMA engine and stream ``(space, host_addr, nbytes)``
+    # as packets of ``kind`` to ``dst_node``: fetch a chunk over PCI, inject
+    # it, and fetch the next while it is on the wire.  ``meta(offset, last,
+    # *args)`` labels a chunk; ``on_wire(ok, *args)`` runs once, when the
+    # last chunk is on the wire or the pump died (``ok`` False).
+    def _fetch(self, job: tuple, offset: int) -> None:
+        chunk = min(CHUNK_BYTES, job[2] - offset)
+        self.nic.pci.dma_then(chunk, self._fetched, job, offset, chunk)
+
+    def _fetched(self, job: tuple, offset: int, chunk: int) -> None:
+        space, host_addr, nbytes, dst_node, kind, meta, on_wire, args = job
+        end = offset + chunk
+        last = end >= nbytes
+        try:
+            pkt = Packet(
+                src_node=self.nic.node_id,
+                dst_node=dst_node,
+                nbytes=chunk,
+                kind=kind,
+                meta=meta(offset, last, *args),
+                data=space.read(host_addr + offset, chunk),
+            )
+        except BaseException:
+            on_wire(False, *args)
+            raise
+        # Inject asynchronously so the PCI fetch of the next chunk overlaps
+        # this chunk's wire time; the FIFO injection link preserves chunk
+        # order.  The injection starts before the bus is asked again.
+        if last:
+            self.nic.fabric.transmit_from_nic(pkt, on_wire, *args)
+        else:
+            self.nic.fabric.transmit_from_nic(pkt)
+            self._fetch(job, end)
 
     # -- write path ---------------------------------------------------------
-    def _run_write(self, desc: RdmaDescriptor, ctx: int) -> Generator:
+    def _write_granted(self, desc: RdmaDescriptor, ctx: int) -> None:
         """Source side of RDMA write: fetch chunks over PCI, inject them."""
-        yield self.nic.dma_engines.request()
         try:
             space, host_addr = self.nic.mmu.translate(desc.local, desc.nbytes)
             dst = self.nic.resolve_vpid(desc.remote_vpid)
-            offset = 0
-            injection = None
-            while offset < desc.nbytes:
-                chunk = min(CHUNK_BYTES, desc.nbytes - offset)
-                yield from self.nic.pci.dma(chunk)
-                data = space.read(host_addr + offset, chunk)
-                last = offset + chunk >= desc.nbytes
-                pkt = Packet(
-                    src_node=self.nic.node_id,
-                    dst_node=dst.node_id,
-                    nbytes=chunk,
-                    kind="rdma_write",
-                    meta={
-                        "remote": desc.remote + offset,
-                        "last": last,
-                    },
-                    data=data,
-                )
-                # Inject asynchronously so the PCI fetch of the next chunk
-                # overlaps this chunk's wire time; the FIFO injection link
-                # preserves chunk order.
-                injection = self.sim.spawn(
-                    self.nic.fabric.transmit(pkt), name="rdma-write-inject"
-                )
-                offset += chunk
-            yield injection  # last chunk on the wire => all earlier ones are
-            self.bytes_written += desc.nbytes
+        except BaseException:
+            self._write_on_wire(False, desc, ctx)
+            raise
+        self._fetch((space, host_addr, desc.nbytes, dst.node_id, "rdma_write",
+                     self._write_meta, self._write_on_wire, (desc, ctx)), 0)
+
+    @staticmethod
+    def _write_meta(offset: int, last: bool, desc: RdmaDescriptor, ctx: int) -> dict:
+        return {"remote": desc.remote + offset, "last": last}
+
+    def _write_on_wire(self, ok: bool, desc: RdmaDescriptor, ctx: int) -> None:
+        if ok:
+            # last chunk on the wire => all earlier ones are; completion
+            # keeps its own hop behind the wire event
+            self.sim.schedule_pooled(0.0, self._write_done, (desc, ctx))
+        else:
+            self._write_retire(ctx)
+
+    def _write_done(self, desc: RdmaDescriptor, ctx: int) -> None:
+        self.bytes_written += desc.nbytes
+        try:
             # completion at last-chunk injection: chained ops follow in order
             desc.done.fire()
         finally:
-            self.nic.dma_engines.release()
-            self.nic.untrack_pending(ctx)
+            self._write_retire(ctx)
+
+    def _write_retire(self, ctx: int) -> None:
+        self.nic.dma_engines.release()
+        self.nic.untrack_pending(ctx)
 
     def handle_write_chunk(self, pkt: Packet) -> None:
         """Destination side of RDMA write: land a chunk in host memory."""
+        self.sim.schedule_pooled(0.0, self._land_write, (pkt,))
 
-        def run() -> Generator:
-            space, host_addr = self.nic.mmu.translate(pkt.meta["remote"], pkt.nbytes)
-            yield from self.nic.pci.dma(pkt.nbytes)
-            if pkt.data is not None:
-                space.write(host_addr, pkt.data)
+    def _land_write(self, pkt: Packet) -> None:
+        space, host_addr = self.nic.mmu.translate(pkt.meta["remote"], pkt.nbytes)
+        self.nic.pci.dma_then(pkt.nbytes, self._write_landed, pkt, space, host_addr)
 
-        self.sim.spawn(run(), name="rdma-write-land")
+    def _write_landed(self, pkt: Packet, space, host_addr: int) -> None:
+        if pkt.data is not None:
+            space.write(host_addr, pkt.data)
 
     # -- read path ---------------------------------------------------------
-    def _run_read_request(self, desc: RdmaDescriptor, ctx: int) -> Generator:
+    def _read_request(self, desc: RdmaDescriptor, ctx: int) -> None:
         """Requester side: send the get request to the data-holding NIC."""
         req_id = next(self._req_ids)
         self._reads[req_id] = [desc, ctx, 0]
@@ -198,52 +238,50 @@ class RdmaEngine:
                     "reply_node": self.nic.node_id,
                 },
             )
-            yield from self.nic.fabric.transmit(pkt)
+            self.nic.fabric.inject(pkt, self._read_requested, req_id)
         except BaseException:
-            # failed before the request ever left (peer released, fabric
-            # torn down): nothing can complete or cancel this read later,
-            # so retire the descriptor and pending slot here
-            if self._reads.pop(req_id, None) is not None:
-                self.nic.untrack_pending(ctx)
+            self._read_requested(False, req_id)
             raise
+
+    def _read_requested(self, ok: bool, req_id: int) -> None:
+        if ok:
+            return
+        # failed before the request ever left (peer released, fabric torn
+        # down): nothing can complete or cancel this read later, so retire
+        # the descriptor and pending slot here
+        entry = self._reads.pop(req_id, None)
+        if entry is not None:
+            self.nic.untrack_pending(entry[1])
 
     def handle_read_request(self, pkt: Packet) -> None:
         """Data-holder side: stream the requested range back, pipelined."""
+        self.sim.schedule_pooled(
+            0.0, self.nic.dma_engines.grant, (self._serve_granted, pkt)
+        )
 
-        def run() -> Generator:
-            yield self.nic.dma_engines.request()
-            try:
-                yield self.sim.timeout(self.config.nic_dma_issue_us)
-                remote: E4Addr = pkt.meta["remote"]
-                nbytes: int = pkt.meta["nbytes"]
-                space, host_addr = self.nic.mmu.translate(remote, nbytes)
-                offset = 0
-                injection = None
-                while offset < nbytes:
-                    chunk = min(CHUNK_BYTES, nbytes - offset)
-                    yield from self.nic.pci.dma(chunk)
-                    data = space.read(host_addr + offset, chunk)
-                    reply = Packet(
-                        src_node=self.nic.node_id,
-                        dst_node=pkt.meta["reply_node"],
-                        nbytes=chunk,
-                        kind="rdma_read_data",
-                        meta={
-                            "req_id": pkt.meta["req_id"],
-                            "offset": offset,
-                            "last": offset + chunk >= nbytes,
-                        },
-                        data=data,
-                    )
-                    injection = self.sim.spawn(
-                        self.nic.fabric.transmit(reply), name="rdma-read-inject"
-                    )
-                    offset += chunk
-                yield injection
-            finally:
-                self.nic.dma_engines.release()
+    def _serve_granted(self, pkt: Packet) -> None:
+        self.sim.schedule_pooled(self.config.nic_dma_issue_us, self._serve, (pkt,))
 
-        self.sim.spawn(run(), name="rdma-read-serve")
+    def _serve(self, pkt: Packet) -> None:
+        try:
+            nbytes: int = pkt.meta["nbytes"]
+            space, host_addr = self.nic.mmu.translate(pkt.meta["remote"], nbytes)
+        except BaseException:
+            self._serve_on_wire(False, pkt)
+            raise
+        self._fetch((space, host_addr, nbytes, pkt.meta["reply_node"], "rdma_read_data",
+                     self._reply_meta, self._serve_on_wire, (pkt,)), 0)
+
+    @staticmethod
+    def _reply_meta(offset: int, last: bool, pkt: Packet) -> dict:
+        return {"req_id": pkt.meta["req_id"], "offset": offset, "last": last}
+
+    def _serve_on_wire(self, ok: bool, pkt: Packet) -> None:
+        if ok:
+            # the engine frees one hop behind the last chunk's wire event
+            self.sim.schedule_pooled(0.0, self.nic.dma_engines.release)
+        else:
+            self.nic.dma_engines.release()
 
     def handle_read_data(self, pkt: Packet) -> None:
         """Requester side: land a returning chunk; fire done once every
@@ -254,25 +292,27 @@ class RdmaEngine:
         if entry is None:
             self.nic.drop_packet(pkt, reason="read data for unknown request")
             return
+        self.sim.schedule_pooled(0.0, self._land_read, (pkt, entry))
+
+    def _land_read(self, pkt: Packet, entry: list) -> None:
+        space, host_addr = self.nic.mmu.translate(
+            entry[0].local + pkt.meta["offset"], pkt.nbytes
+        )
+        self.nic.pci.dma_then(pkt.nbytes, self._read_landed, pkt, entry, space, host_addr)
+
+    def _read_landed(self, pkt: Packet, entry: list, space, host_addr: int) -> None:
+        req_id = pkt.meta["req_id"]
+        if self._reads.get(req_id) is not entry:
+            return  # cancelled while the chunk was landing
+        if pkt.data is not None:
+            space.write(host_addr, pkt.data)
+        entry[2] += pkt.nbytes
         desc, ctx = entry[0], entry[1]
-
-        def run() -> Generator:
-            space, host_addr = self.nic.mmu.translate(
-                desc.local + pkt.meta["offset"], pkt.nbytes
-            )
-            yield from self.nic.pci.dma(pkt.nbytes)
-            if self._reads.get(pkt.meta["req_id"]) is not entry:
-                return  # cancelled while the chunk was landing
-            if pkt.data is not None:
-                space.write(host_addr, pkt.data)
-            entry[2] += pkt.nbytes
-            if entry[2] >= desc.nbytes:
-                del self._reads[pkt.meta["req_id"]]
-                self.bytes_read += desc.nbytes
-                desc.done.fire()
-                self.nic.untrack_pending(ctx)
-
-        self.sim.spawn(run(), name="rdma-read-land")
+        if entry[2] >= desc.nbytes:
+            del self._reads[req_id]
+            self.bytes_read += desc.nbytes
+            desc.done.fire()
+            self.nic.untrack_pending(ctx)
 
     def cancel(self, desc: RdmaDescriptor) -> bool:
         """Abandon an outstanding read (completion watchdog gave up on it).

@@ -9,12 +9,14 @@ chained DMA saves little on this platform (§6.2: "PCI-X bus and fast CPU
 
 The bus serialises bursts: one bus-master transaction at a time, FIFO
 arbitration.  PIO writes (doorbells) are small posted writes with a fixed
-cost.
+cost.  A DMA comes in two forms over the same arbitration: the coroutine
+:meth:`PciBus.dma` for callers with a thread to suspend, and the callback
+:meth:`PciBus.dma_then` for the NIC engines.
 """
 
 from __future__ import annotations
 
-from typing import Generator, TYPE_CHECKING
+from typing import Any, Callable, Generator, TYPE_CHECKING
 
 from repro.sim.resources import Resource
 
@@ -83,6 +85,26 @@ class PciBus:
             yield self.sim.timeout(cost)
             bus.release()
             remaining -= chunk
+
+    def dma_then(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Callback form of :meth:`dma` for the NIC engines, which have no
+        thread to suspend: the same bursts at the same cost through the same
+        FIFO arbitration, then ``fn(*args)``."""
+        remaining = max(0, int(nbytes))
+        self.bytes_moved += remaining
+        self._burst(remaining, self._setup_us, fn, args)
+
+    def _burst(self, remaining: int, setup_us: float, fn: Callable[..., Any],
+               args: tuple) -> None:
+        """One arbitration burst of a :meth:`dma_then`; only the first pays
+        the setup cost (a zero-byte descriptor still arbitrates once)."""
+        if remaining <= BURST_BYTES:
+            self._bus.hold(remaining * self._us_per_byte + setup_us, fn, *args)
+        else:
+            self._bus.hold(
+                BURST_BYTES * self._us_per_byte + setup_us,
+                self._burst, remaining - BURST_BYTES, 0.0, fn, args,
+            )
 
     @property
     def queue_length(self) -> int:

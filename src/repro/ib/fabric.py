@@ -86,7 +86,8 @@ class IbLink:
         self.pause_us = 0.0
         self._paused_since: Optional[float] = None
         self.max_depth = 0
-        sim.spawn(self._drain(), name=f"iblink:{name}")
+        # a server loop: idle links legitimately sit on `_wake` at drain
+        sim.spawn(self._drain(), name=f"iblink:{name}", daemon=True)
 
     # -- enqueue -----------------------------------------------------------
     def depth(self) -> int:

@@ -27,8 +27,22 @@ class Resource:
     """A counted resource with FIFO waiters (e.g. a DMA engine with N
     concurrent descriptors, or the PCI-X bus with one outstanding burst).
 
-    ``request()`` returns an event that fires when a unit is granted; the
-    holder must call ``release()`` exactly once per grant.
+    Two client forms share the one FIFO queue, so they arbitrate exactly as
+    if every client were a coroutine:
+
+    * **coroutine** — ``yield res.request()``: an event that fires when a
+      unit is granted; the holder calls ``release()`` once per grant;
+    * **callback** — ``res.grant(fn, *args)`` runs ``fn(*args)`` when a unit
+      is granted (the holder still calls ``release()``), and
+      ``res.hold(duration, fn, *args)`` is the whole
+      request -> timeout -> release cycle, then ``fn(*args)``.  This is what
+      the NIC engines use: a DMA burst or a packet serialisation needs no
+      generator to suspend.
+
+    A grant is always one zero-delay kernel hop after the request or the
+    ``release()`` that handed the unit over, in either form: that hop
+    decides same-timestamp order on a contended resource, so the callback
+    form keeps it (DESIGN.md, "Callback-form engines").
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
@@ -38,7 +52,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
+        #: queued clients in arrival order: a ``SimEvent`` for a coroutine
+        #: ``request()``, a ``(fn, args)`` tuple for a ``grant`` / ``hold``
+        self._waiters: Deque[Any] = deque()
         self._req_name = f"req:{name}"  # request() runs per DMA burst
 
     def request(self) -> SimEvent:
@@ -53,15 +69,41 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
+    def grant(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Callback form of ``yield request()``: run ``fn(*args)`` once a
+        unit is granted; whoever finishes the work calls ``release()``."""
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            self.sim.schedule_pooled(0.0, fn, args)
+        else:
+            self._waiters.append((fn, args))
+
+    def hold(self, duration: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Callback form of request -> ``timeout(duration)`` -> release:
+        occupy one unit for ``duration`` µs from the grant, release it, then
+        run ``fn(*args)`` — in that order, as a coroutine's statements after
+        its ``release()`` would."""
+        self.grant(self._hold_begin, duration, fn, args)
+
+    def _hold_begin(self, duration: float, fn: Callable[..., Any], args: tuple) -> None:
+        self.sim.schedule_pooled(duration, self._hold_end, (fn, args))
+
+    def _hold_end(self, fn: Callable[..., Any], args: tuple) -> None:
+        self.release()
+        fn(*args)
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # unit handed over: in_use stays constant
-            ev = self._waiters.popleft()
-            ev._state = TRIGGERED  # a queued request cannot have fired
-            ev._value = self
-            ev._call = self.sim.schedule_pooled(0.0, ev._process)
+            waiter = self._waiters.popleft()
+            if type(waiter) is tuple:
+                self.sim.schedule_pooled(0.0, waiter[0], waiter[1])
+            else:
+                waiter._state = TRIGGERED  # a queued request cannot have fired
+                waiter._value = self
+                waiter._call = self.sim.schedule_pooled(0.0, waiter._process)
         else:
             self.in_use -= 1
 
@@ -72,6 +114,13 @@ class Resource:
         the grant already happened — the caller owns a unit and must
         ``release()`` it instead.  Needed when a waiter is killed: leaving
         a dead waiter queued would leak a capacity unit on grant.
+
+        Queued ``grant`` / ``hold`` jobs are not cancellable: they return no
+        handle.  Only a coroutine can be killed while it waits (a host
+        thread interrupted, a process reaped); the NIC engines that use the
+        callback form are never torn down mid-operation — a destroyed queue
+        or a cancelled read is noticed by the callback when it runs, which
+        then gives its unit straight back.
         """
         try:
             self._waiters.remove(ev)

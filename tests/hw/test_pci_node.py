@@ -56,6 +56,35 @@ def test_large_dma_split_into_bursts():
     assert sim.now == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("n", [0, 1, BURST_BYTES, BURST_BYTES + 1, BURST_BYTES * 3 + 100])
+def test_dma_then_costs_exactly_what_the_coroutine_dma_costs(n):
+    """The callback form the NIC engines use: same bursts, same cost to the
+    bit, and it interleaves burst by burst with a coroutine on the bus."""
+    ends = {}
+    for form in ("coroutine", "callback"):
+        sim, cfg, bus = make_bus()
+
+        def rival():
+            yield from bus.dma(BURST_BYTES * 2)
+            ends[form, "rival"] = sim.now
+
+        def coroutine():
+            yield from bus.dma(n)
+            ends[form, "dma"] = sim.now
+
+        sim.spawn(rival())
+        if form == "coroutine":
+            sim.spawn(coroutine())
+        else:
+            # a spawned coroutine asks for the bus one kernel hop later
+            sim.schedule_pooled(
+                0.0, bus.dma_then, (n, lambda: ends.__setitem__((form, "dma"), sim.now)))
+        sim.run()
+        ends[form, "bytes"] = bus.bytes_moved
+    for key in ("rival", "dma", "bytes"):
+        assert ends["coroutine", key] == ends["callback", key]
+
+
 def test_bus_serializes_concurrent_dmas():
     sim, cfg, bus = make_bus()
     finish = {}

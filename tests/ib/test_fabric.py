@@ -145,3 +145,18 @@ def test_single_leaf_within_radix():
     fabric = IbFabric(cluster.sim, cluster.config, IbOptions(), 8)
     assert [sw.name for sw in fabric.switches] == ["ibsw0"]
     assert fabric.hops(0, 7) == 1
+
+
+# ------------------------------------------------------------ sanitizer
+def test_drained_ib_cluster_has_no_sanitizer_finding(monkeypatch):
+    """Every directed IB link runs a `_drain` server loop that sits on its
+    wake event whenever the link is idle.  It must be a daemon process, or
+    every naturally drained IB run ends with one blocked-at-drain deadlock
+    finding per link (the `sanitize` and `ib` CI jobs were red on this)."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    cluster = Cluster(nodes=2, ib_rail=True)
+    tx = cluster.ib_nics[0][0].tx_link
+    tx.enqueue(_pkt(n=16, prio=PRIO_CTL))
+    cluster.sim.run()  # natural drain: the deadlock detector runs
+    assert tx.packets_tx == 1
+    assert [f.format() for f in cluster.sim.sanitizer.teardown()] == []
