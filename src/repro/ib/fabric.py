@@ -5,8 +5,8 @@ Geometry: every host HCA hangs off a leaf switch (one switch up to
 spine — 1 hop same-leaf, 3 hops cross-leaf).  Every *directed* link is an
 :class:`IbLink` owned by its transmitter: a control queue (priority 7 —
 ACK/NAK/CNP/PAUSE class, never dropped, never marked, never paused) above a
-data queue (priority 0 — MPI traffic), drained by one serialisation
-coroutine.
+data queue (priority 0 — MPI traffic), drained by one callback serialiser
+(no process: a frame is one pooled call at its wire-end).
 
 Congestion semantics by mode (see :class:`repro.ib.options.IbOptions`):
 
@@ -73,7 +73,8 @@ class IbLink:
         self._ctl: deque = deque()
         self.paused_prios: set = set()
         self.down = False
-        self._wake: Optional[SimEvent] = None
+        #: parked with nothing sendable: the next ``_stir`` schedules ``_next``
+        self._idle = False
         self._us_per_byte = config.ib_link_us_per_byte
         self._prop_us = config.ib_wire_prop_us + (
             config.ib_switch_hop_us if owner is not None else 0.0
@@ -86,8 +87,8 @@ class IbLink:
         self.pause_us = 0.0
         self._paused_since: Optional[float] = None
         self.max_depth = 0
-        # a server loop: idle links legitimately sit on `_wake` at drain
-        sim.spawn(self._drain(), name=f"iblink:{name}", daemon=True)
+        # the start hop: like every zero-delay hop below, it orders same-instant work
+        sim.schedule_pooled(0.0, self._next)
 
     # -- enqueue -----------------------------------------------------------
     def depth(self) -> int:
@@ -147,10 +148,13 @@ class IbLink:
         self._stir()
 
     # -- drain -------------------------------------------------------------
+    # A callback serialiser whose hops order same-instant work (DESIGN.md §6,
+    # "Callback-form engines"): a wake-up is one zero-delay hop, a frame one
+    # pooled call at its wire-end, which picks the next frame inline.
     def _stir(self) -> None:
-        ev, self._wake = self._wake, None
-        if ev is not None and not ev.triggered:
-            ev.succeed(None)
+        if self._idle:
+            self._idle = False
+            self.sim.schedule_pooled(0.0, self._next)
 
     def _pick(self) -> Optional["IbPacket"]:
         if self._ctl:
@@ -168,20 +172,23 @@ class IbLink:
             return pkt
         return None
 
-    def _drain(self):
-        while True:
-            pkt = self._pick()
-            if pkt is None:
-                self._wake = SimEvent(self.sim, name=f"wake:{self.name}")
-                yield self._wake
-                continue
-            yield self.sim.timeout((pkt.nbytes + FRAME_BYTES) * self._us_per_byte)
-            if self.down:
-                self.drops += 1
-                continue
+    def _next(self) -> None:
+        pkt = self._pick()
+        if pkt is None:
+            self._idle = True
+            return
+        self.sim.schedule_pooled(
+            (pkt.nbytes + FRAME_BYTES) * self._us_per_byte, self._sent, (pkt,)
+        )
+
+    def _sent(self, pkt: "IbPacket") -> None:
+        if self.down:
+            self.drops += 1
+        else:
             self.bytes_tx += pkt.nbytes
             self.packets_tx += 1
-            self.sim.schedule(self._prop_us, self.deliver, pkt)
+            self.sim.schedule_pooled(self._prop_us, self.deliver, (pkt,))
+        self._next()
 
 
 class IbSwitch:

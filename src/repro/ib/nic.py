@@ -18,13 +18,12 @@ where RoCE rate limiters actually sit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.ib.fabric import FRAME_BYTES, IbFabric, PRIO_CTL, PRIO_DATA
 from repro.ib.verbs import CompletionQueue, Cqe, IbError, MemoryRegion, QueuePair, WorkRequest
-from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import MachineConfig
@@ -126,76 +125,90 @@ class IbNic:
         if qp.state != "rts":
             raise IbError(f"qp{qp.qpn}: post_send before connect")
         qp.send_queue.append(wqe)
-        if qp._kick is not None and not qp._kick.triggered:
-            qp._kick.succeed(None)
-        if not qp._engine_running:
-            qp._engine_running = True
-            self.sim.spawn(self._requester(qp), name=f"ibqp{qp.qpn}:tx")
+        if qp._tx_parked:
+            qp._tx_parked = False
+            self.sim.schedule_pooled(0.0, self._tx_next, (qp,))
 
     # -- requester engine --------------------------------------------------
-    def _requester(self, qp: QueuePair):
-        """Per-QP send engine: segment, pace, inject, track."""
-        window = self.config.ib_window_pkts
-        while qp.state == "rts":
-            if not qp.send_queue:
-                qp._kick = SimEvent(self.sim, name=f"kick:qp{qp.qpn}")
-                yield qp._kick
-                continue
-            wqe = qp.send_queue.pop(0)
-            yield self.sim.timeout(self.config.ib_nic_wqe_us)
-            if wqe.data is not None and len(wqe.data):
-                # DMA the payload out of host memory once per WQE
-                yield from self.pci.dma(len(wqe.data))
-            offset = 0
-            total = wqe.nbytes
-            while True:
-                seg = min(self._mtu, total - offset)
-                last = offset + seg >= total
-                while len(qp.unacked) >= window and qp.state == "rts":
-                    qp._window_waiter = SimEvent(self.sim, name=f"win:qp{qp.qpn}")
-                    yield qp._window_waiter
-                if qp.state != "rts":
-                    return
-                payload = None
-                if wqe.data is not None and len(wqe.data):
-                    payload = wqe.data[offset : offset + seg]
-                pkt = IbPacket(
-                    src_node=self.node_id,
-                    dst_node=qp.peer_node,
-                    nbytes=seg + self._hdr,
-                    kind="data",
-                    qpn=qp.peer_qpn,
-                    psn=qp.next_psn,
-                    data=payload,
-                    meta={
-                        "opcode": wqe.opcode,
-                        "rkey": wqe.rkey,
-                        "roffset": wqe.remote_offset + offset,
-                        "last": last,
-                        "imm": wqe.imm if last else None,
-                        "wmeta": wqe.meta if last else None,
-                        "src_qpn": qp.qpn,
-                        "wqe_bytes": total,
-                    },
-                )
-                qp.next_psn += 1
-                if last:
-                    wqe._last_psn = pkt.psn
-                qp.unacked[pkt.psn] = (pkt, wqe, last)
-                self._arm_retransmit(qp)
-                yield from self._pace_and_inject(qp, pkt)
-                if last:
-                    break
-                offset += seg
-        return
+    # Per-QP send engine: segment, pace, inject, track.  Each zero-delay hop
+    # orders same-instant work (DESIGN.md §6, "Callback-form engines").
+    def _tx_next(self, qp: QueuePair) -> None:
+        if qp.state != "rts":
+            return
+        if not qp.send_queue:
+            qp._tx_parked = True
+            return
+        wqe = qp.send_queue.pop(0)
+        if wqe.data is not None and len(wqe.data):
+            # DMA the payload out of host memory once per WQE
+            fetch = (self.pci.dma_then, (len(wqe.data), self._tx_pump, qp, wqe, 0))
+        else:
+            fetch = (self._tx_pump, (qp, wqe, 0))
+        self.sim.schedule_pooled(self.config.ib_nic_wqe_us, *fetch)
 
-    def _pace_and_inject(self, qp: QueuePair, pkt: IbPacket):
-        """DCQCN pacing: space packets at wire-time / rate, then inject."""
+    def _tx_pump(self, qp: QueuePair, wqe: WorkRequest, offset: int) -> None:
+        """Segment ``wqe`` from ``offset`` until the window closes, a packet
+        has to wait for its pacing slot, or the WQE is out."""
+        total = wqe.nbytes
+        while True:
+            if qp.state != "rts":
+                return
+            if len(qp.unacked) >= self.config.ib_window_pkts:
+                qp._tx_blocked = (wqe, offset)  # _rx_ack re-opens it
+                return
+            seg = min(self._mtu, total - offset)
+            last = offset + seg >= total
+            payload = None
+            if wqe.data is not None and len(wqe.data):
+                payload = wqe.data[offset : offset + seg]
+            pkt = IbPacket(
+                src_node=self.node_id,
+                dst_node=qp.peer_node,
+                nbytes=seg + self._hdr,
+                kind="data",
+                qpn=qp.peer_qpn,
+                psn=qp.next_psn,
+                data=payload,
+                meta={
+                    "opcode": wqe.opcode,
+                    "rkey": wqe.rkey,
+                    "roffset": wqe.remote_offset + offset,
+                    "last": last,
+                    "imm": wqe.imm if last else None,
+                    "wmeta": wqe.meta if last else None,
+                    "src_qpn": qp.qpn,
+                    "wqe_bytes": total,
+                },
+            )
+            qp.next_psn += 1
+            if last:
+                wqe._last_psn = pkt.psn
+            qp.unacked[pkt.psn] = (pkt, wqe, last)
+            self._arm_retransmit(qp)
+            wait = self._pace(qp, pkt)
+            if wait > 0.0:
+                then = (self._tx_next, qp) if last else (self._tx_pump, qp, wqe, offset + seg)
+                self.sim.schedule_pooled(wait, self._paced, (qp, pkt, *then))
+                return
+            self._emit(qp, pkt)
+            if last:
+                self._tx_next(qp)
+                return
+            offset += seg
+
+    def _pace(self, qp: QueuePair, pkt: IbPacket) -> float:
+        """DCQCN pacing at wire-time / rate: book ``pkt``'s slot, return the wait."""
         gap = (pkt.nbytes + FRAME_BYTES) * self.config.ib_link_us_per_byte / qp.rate
         start = max(self.sim.now, qp._next_tx_at)
         qp._next_tx_at = start + gap
-        if start > self.sim.now:
-            yield self.sim.timeout(start - self.sim.now)
+        return start - self.sim.now
+
+    def _paced(self, qp: QueuePair, pkt: IbPacket, fn: Callable[..., None], *args: Any) -> None:
+        """``pkt``'s slot came: emit it, resume the requester or the replay."""
+        self._emit(qp, pkt)
+        fn(*args)
+
+    def _emit(self, qp: QueuePair, pkt: IbPacket) -> None:
         qp.bytes_tx += pkt.nbytes
         qp.packets_tx += 1
         if self.down:
@@ -224,13 +237,23 @@ class IbNic:
                 self.obs.count("ib", f"nic{self.node_id}.qp_errors")
             qp.fail(f"retry limit on qp{qp.qpn} -> node {qp.peer_node}")
             return
-        self.sim.spawn(self._go_back_n(qp), name=f"ibqp{qp.qpn}:rtx")
+        self.sim.schedule_pooled(0.0, self._rtx_pump, (qp, self._go_back_n(qp, None)))
         self._arm_retransmit(qp)
 
-    def _go_back_n(self, qp: QueuePair, from_psn: Optional[int] = None):
-        """Resend every unacked packet at/after ``from_psn`` in PSN order."""
-        start = min(qp.unacked) if from_psn is None else from_psn
-        for psn in sorted(p for p in qp.unacked if p >= start):
+    def _go_back_n(self, qp: QueuePair, from_psn: Optional[int]) -> Iterator[int]:
+        """Every unacked PSN at/after ``from_psn`` (default: the oldest), in order.
+        Lazy: the window is read at the first ``next()``, one hop after the
+        replay was decided, so an ACK landing in that instant is seen first."""
+        if from_psn is None:
+            if not qp.unacked:
+                return  # an ACK at the timer's instant emptied the window
+            from_psn = min(qp.unacked)
+        yield from sorted(p for p in qp.unacked if p >= from_psn)
+
+    def _rtx_pump(self, qp: QueuePair, psns: Iterator[int]) -> None:
+        """Replay ``psns`` until one waits for its pacing slot; a PSN
+        acknowledged meanwhile ends the replay."""
+        for psn in psns:
             entry = qp.unacked.get(psn)
             if entry is None or qp.state != "rts":
                 return
@@ -248,7 +271,11 @@ class IbNic:
                 data=pkt.data,
                 meta=pkt.meta,
             )
-            yield from self._pace_and_inject(qp, copy)
+            wait = self._pace(qp, copy)
+            if wait > 0.0:
+                self.sim.schedule_pooled(wait, self._paced, (qp, copy, self._rtx_pump, qp, psns))
+                return
+            self._emit(qp, copy)
 
     # -- receive path ------------------------------------------------------
     def receive(self, pkt: IbPacket) -> None:
@@ -356,16 +383,16 @@ class IbNic:
                     qp,
                     Cqe(kind=wqe.opcode, qpn=qp.qpn, wr_id=wqe.wr_id, nbytes=wqe.nbytes),
                 )
-        if qp._window_waiter is not None and not qp._window_waiter.triggered:
-            qp._window_waiter.succeed(None)
-            qp._window_waiter = None
+        if qp._tx_blocked is not None:  # the requester waits for this window
+            self.sim.schedule_pooled(0.0, self._tx_pump, (qp, *qp._tx_blocked))
+            qp._tx_blocked = None
 
     def _rx_nak(self, qp: QueuePair, psn: int) -> None:
         if qp.state != "rts" or not qp.unacked:
             return
         self._rx_ack(qp, psn - 1)  # a NAK acks everything before the gap
         if any(p >= psn for p in qp.unacked):
-            self.sim.spawn(self._go_back_n(qp, psn), name=f"ibqp{qp.qpn}:nak-rtx")
+            self.sim.schedule_pooled(0.0, self._rtx_pump, (qp, self._go_back_n(qp, psn)))
 
     def _rx_cnp(self, qp: QueuePair) -> None:
         qp.cnps_rx += 1

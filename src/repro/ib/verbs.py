@@ -10,7 +10,7 @@ DCQCN rate limiter) lives on the :class:`QueuePair`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cpu import HostWordEvent
     from repro.hw.memory import Buffer
     from repro.sim.core import Simulator
-    from repro.sim.events import SimEvent
 
 __all__ = ["IbError", "MemoryRegion", "WorkRequest", "Cqe", "CompletionQueue", "QueuePair"]
 
@@ -129,9 +128,9 @@ class QueuePair:
         #: psn -> (packet, wqe, last_of_wqe): everything on the wire, unacked
         self.unacked: Dict[int, tuple] = {}
         self.retries = 0
-        self._window_waiter: Optional["SimEvent"] = None
-        self._kick: Optional["SimEvent"] = None
-        self._engine_running = False
+        self._tx_parked = True  # the requester is idle: a doorbell schedules it
+        #: ``(wqe, offset)`` the requester stopped at on a full window
+        self._tx_blocked: Optional[Tuple[WorkRequest, int]] = None
         self._rtx_timer_psn: Optional[int] = None
         # -- responder (receive) side -------------------------------------
         self.expected_psn = 0
@@ -171,9 +170,6 @@ class QueuePair:
         self.state = "error"
         self.send_queue.clear()
         self.unacked.clear()
-        if self._window_waiter is not None and not self._window_waiter.triggered:
-            self._window_waiter.succeed(None)
-        if self._kick is not None and not self._kick.triggered:
-            self._kick.succeed(None)
+        self._tx_blocked = None
         if self.on_error is not None:
             self.on_error(self, reason)

@@ -1,11 +1,13 @@
 """IB/RoCE fabric mechanics: queues, ECN marking, drops, the PFC cascade."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster
 from repro.ib.fabric import IbFabric, PRIO_CTL
 from repro.ib.nic import IbPacket
 from repro.ib.options import IbOptions
+from repro.ib.verbs import WorkRequest
 
 
 def _pkt(n=2048, prio=0):
@@ -149,14 +151,24 @@ def test_single_leaf_within_radix():
 
 # ------------------------------------------------------------ sanitizer
 def test_drained_ib_cluster_has_no_sanitizer_finding(monkeypatch):
-    """Every directed IB link runs a `_drain` server loop that sits on its
-    wake event whenever the link is idle.  It must be a daemon process, or
-    every naturally drained IB run ends with one blocked-at-drain deadlock
-    finding per link (the `sanitize` and `ib` CI jobs were red on this)."""
+    """An idle IB link is a parked flag, not a process: links and QP
+    requesters are callbacks, so a naturally drained IB run leaves nothing
+    blocked for the deadlock detector to report (when links were server
+    coroutines, each idle one was a blocked-at-drain finding unless marked
+    daemon) and nothing scheduled."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     cluster = Cluster(nodes=2, ib_rail=True)
-    tx = cluster.ib_nics[0][0].tx_link
+    nic_a, nic_b = cluster.ib_nics[0]
+    qp_a, qp_b = nic_a.create_qp(nic_a.create_cq()), nic_b.create_qp(nic_b.create_cq())
+    qp_a.connect(1, qp_b.qpn)
+    qp_b.connect(0, qp_a.qpn)
+    nic_a.post_send(qp_a, WorkRequest(wr_id=1, opcode="send", nbytes=5000,
+                                      data=np.zeros(5000, dtype=np.uint8)))
+    tx = nic_a.tx_link
     tx.enqueue(_pkt(n=16, prio=PRIO_CTL))
     cluster.sim.run()  # natural drain: the deadlock detector runs
-    assert tx.packets_tx == 1
+    assert tx.packets_tx == 1 + 3  # the control frame and three MTU packets
+    assert qp_b.cq.poll().kind == "recv" and qp_a.cq.poll().kind == "send"
+    assert cluster.sim.peek() is None
+    assert cluster.sim.sanitizer.processes == []
     assert [f.format() for f in cluster.sim.sanitizer.teardown()] == []

@@ -155,3 +155,23 @@ def test_repeated_cnps_respect_min_rate_floor():
         # step past the reaction interval so every CNP is acted on
         cluster.sim.run(until=cluster.sim.now + opts.dcqcn_cnp_interval_us + 1)
     assert qp_a.rate == 0.25
+
+
+def test_ack_at_the_retransmit_instant_empties_the_window_before_go_back_n():
+    """The retransmit timer decides to replay, and an ACK delivered at that
+    same instant (scheduled after the timer) empties the window before the
+    replay starts one kernel hop later: go-back-N must find nothing to send
+    instead of raising out of ``min()`` on the empty window."""
+    cluster, (nic_a, qp_a, cq_a), (nic_b, _, _) = _connected_pair()
+    nic_b.set_port_down(True)  # nothing is ever acknowledged by the peer
+    nic_a.post_send(qp_a, WorkRequest(wr_id=5, opcode="send", nbytes=64,
+                                      data=np.zeros(64, dtype=np.uint8)))
+    cluster.sim.run(until=100.0)  # the packet is out and lost
+    assert qp_a.unacked
+    t_rtx = cluster.sim.peek()  # nothing else pending: the retransmit timer
+    cluster.sim.schedule_at(t_rtx, nic_a._rx_ack, qp_a, qp_a.next_psn - 1)
+    cluster.sim.run()
+    assert qp_a.retransmitted == 0 and not qp_a.unacked and qp_a.state == "rts"
+    done = cq_a.poll()
+    assert done is not None and done.kind == "send" and done.wr_id == 5
+    assert cluster.sim.peek() is None
