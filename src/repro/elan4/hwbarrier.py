@@ -177,10 +177,7 @@ class HwBarrierGroup:
             kind="hwbarrier",
             meta={"group": self.group_id, "phase": "release", "round": rnd},
         )
-        root_nic.sim.spawn(
-            self.fabric.broadcast(pkt, self.dst_nodes),
-            name=f"hwbarrier:g{self.group_id}:release",
-        )
+        root_nic.sim.schedule_pooled(0.0, self.fabric.broadcast, (pkt, self.dst_nodes))
 
     def _on_packet(self, nic: "Elan4Nic", pkt: Packet) -> None:
         rnd = pkt.meta["round"]

@@ -31,6 +31,7 @@ from typing import Dict, Generator, List, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.elan4.network import Packet
+from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.elan4.nic import Elan4Context
@@ -99,8 +100,6 @@ class HwBroadcastGroup:
             # host: one command; NIC: one payload fetch; wire: one injection
             yield from nic.pci.pio_write()
             yield thread.sim.timeout(cfg.nic_cmd_process_us)
-            if frag.nbytes:
-                yield from nic.stream_dma(frag.nbytes)
             pkt = Packet(
                 src_node=nic.node_id,
                 dst_node=-1,  # filled per destination by the fabric
@@ -116,7 +115,15 @@ class HwBroadcastGroup:
                 },
                 data=frag.copy(),
             )
-            yield from self.fabric.broadcast(pkt, dst_nodes)
+            # the NIC does the rest; the host thread resumes in the kernel
+            # event that puts the fragment on the wire
+            injected = SimEvent(thread.sim, name=f"hwbcast:g{self.group_id}")
+            if frag.nbytes:
+                nic.stream_dma(frag.nbytes, self.fabric.broadcast,
+                               pkt, dst_nodes, injected.succeed_now)
+            else:
+                self.fabric.broadcast(pkt, dst_nodes, injected.succeed_now)
+            yield injected
 
     # -- receive plumbing -------------------------------------------------
     def install_receivers(self) -> None:

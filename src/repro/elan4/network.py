@@ -15,12 +15,11 @@ The fabric moves :class:`Packet` objects between NICs.  Costs:
 Reception-side costs (DMA into host queues) are charged by the receiving
 NIC's engines, not here.
 
-There are two ways in, and one wire.  A host-side coroutine ``yield from``s
-:meth:`Fabric.transmit`; a NIC engine, which has no thread to suspend, calls
-:meth:`Fabric.inject` (or :meth:`Fabric.transmit_from_nic` to start it one
-kernel hop later) and gets ``then(ok, *args)`` called back.  Both queue on
-the source's injection link in one FIFO, and both hand the serialised packet
-to :meth:`Fabric._launch` (DESIGN.md §6, "Callback-form engines").
+Only NIC engines put packets on the wire, and they have no thread to
+suspend: :meth:`Fabric.inject` (or :meth:`Fabric.transmit_from_nic`, which
+starts it one kernel hop later) and :meth:`Fabric.broadcast` queue on the
+source's injection link in one FIFO and call the caller's continuation back
+once the packet is on the wire (DESIGN.md §6, "Callback-form engines").
 
 Routing takes one of two wall-clock paths with identical modelled time: the
 **coalesced** path (healthy fabric, default) charges all hop transits at
@@ -146,26 +145,25 @@ class Fabric:
         return nic
 
     # -- transmission ------------------------------------------------------
-    def transmit(self, packet: Packet):
-        """Coroutine: inject ``packet`` and return once it is *on the wire*
-        (injection link released).  Delivery to the remote NIC happens
-        asynchronously after the routing latency; point-to-point order is
-        preserved because each source drains through one link and one path.
-        """
-        link = self._tx_link(packet)
-        yield link.request()
-        yield self.sim.timeout((packet.nbytes + self.FRAME_BYTES) * self._link_us)
-        link.release()
-        self._launch(packet)
-
     def inject(self, packet: Packet, then=None, *args) -> None:
-        """Callback form of :meth:`transmit`: serialise ``packet`` on its
-        source's injection link, put it on the wire, then call
-        ``then(ok, *args)``.  ``ok`` is False when the wire refused the
-        packet (:class:`FabricError`: partitioned fabric, no recovery
-        story); ``then`` runs first — it is the caller's ``finally`` — and
-        the error then propagates out of ``sim.run()``."""
-        self._tx_link(packet).hold(
+        """Serialise ``packet`` on its source's injection link, put it on
+        the wire, then call ``then(ok, *args)``.  Delivery to the remote NIC
+        happens after the routing latency; point-to-point order is preserved
+        because each source drains through one link and one path.  ``ok``
+        is False when the wire refused the packet (:class:`FabricError`:
+        partitioned fabric, no recovery story); ``then`` runs first — it is
+        the caller's ``finally`` — and the error then propagates out of
+        ``sim.run()``."""
+        if packet.dst_node not in self._nics:
+            raise FabricError(f"transmit to unattached node {packet.dst_node}")
+        link = self._tx_links.get(packet.src_node)
+        if link is None:
+            raise FabricError(f"transmit from unattached node {packet.src_node}")
+        if self.obs is not None and packet.meta.get("obs_tid") is not None:
+            # injection timestamp rides the packet so _deliver can record
+            # the wire span (link contention + serialisation + hops)
+            packet.meta["obs_tx"] = self.sim.now
+        link.hold(
             (packet.nbytes + self.FRAME_BYTES) * self._link_us,
             self._on_wire, packet, then, args,
         )
@@ -176,20 +174,6 @@ class Fabric:
         the injection starts one kernel hop later, behind whatever that
         instant already queued on the link."""
         self.sim.schedule_pooled(0.0, self.inject, (packet, then, *args))
-
-    def _tx_link(self, packet: Packet) -> Resource:
-        """The source's injection link, after the checks and the obs stamp
-        every transmission starts with."""
-        if packet.dst_node not in self._nics:
-            raise FabricError(f"transmit to unattached node {packet.dst_node}")
-        link = self._tx_links.get(packet.src_node)
-        if link is None:
-            raise FabricError(f"transmit from unattached node {packet.src_node}")
-        if self.obs is not None and packet.meta.get("obs_tid") is not None:
-            # injection timestamp rides the packet so _deliver can record
-            # the wire span (link contention + serialisation + hops)
-            packet.meta["obs_tx"] = self.sim.now
-        return link
 
     def _on_wire(self, packet: Packet, then, args: tuple) -> None:
         try:
@@ -294,19 +278,22 @@ class Fabric:
         if self.tracer is not None:
             self.tracer.count("fabric.hop_transit")
 
-    def broadcast(self, packet: Packet, dst_nodes):
-        """Coroutine: hardware broadcast — serialise once at the source
-        injection link, then the switches replicate to every node in
-        ``dst_nodes`` (including the source's own NIC if listed).  This is
-        the single-injection property that makes Elan hardware collectives
-        fast; contrast with a software tree's ⌈log n⌉ serial sends."""
+    def broadcast(self, packet: Packet, dst_nodes, then=None, *args) -> None:
+        """Hardware broadcast: serialise once at the source injection link,
+        then the switches replicate to every node in ``dst_nodes``
+        (including the source's own NIC if listed) and ``then(*args)`` runs.
+        This is the single-injection property that makes Elan hardware
+        collectives fast; contrast with a software tree's ⌈log n⌉ serial
+        sends."""
         link = self._tx_links.get(packet.src_node)
         if link is None:
             raise FabricError(f"broadcast from unattached node {packet.src_node}")
-        wire_bytes = packet.nbytes + self.FRAME_BYTES
-        yield link.request()
-        yield self.sim.timeout(wire_bytes * self._link_us)
-        link.release()
+        link.hold(
+            (packet.nbytes + self.FRAME_BYTES) * self._link_us,
+            self._replicate, packet, dst_nodes, then, args,
+        )
+
+    def _replicate(self, packet: Packet, dst_nodes, then, args: tuple) -> None:
         for dst in dst_nodes:
             if dst not in self._nics:
                 raise FabricError(f"broadcast to unattached node {dst}")
@@ -331,6 +318,8 @@ class Fabric:
                 deliver_at = horizon
             self._arrival_horizon[key] = deliver_at
             self.sim.schedule(deliver_at - self.sim.now, self._deliver, copy)
+        if then is not None:
+            then(*args)
 
     def set_loss(self, rate: float, seed: int = 0) -> None:
         """Fault injection: drop each ``droppable``-marked packet with

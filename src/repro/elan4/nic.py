@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, TYPE_CHECKING
 
-import numpy as np
-
 from repro.annotations import acquires, releases
 from repro.elan4.addr import E4Addr, Elan4Mmu
 from repro.elan4.capability import ElanCapability, VpidEntry
@@ -144,8 +142,9 @@ class Elan4Nic:
         self.dropped.append((self.sim.now, reason, pkt))
 
     # -- payload DMA (optionally cut-through) --------------------------------
-    def stream_dma(self, nbytes: int) -> "Generator":
-        """Move a QDMA/Tport payload across the PCI bus.
+    def stream_dma(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Move a QDMA/Tport/broadcast payload across the PCI bus, then
+        ``fn(*args)`` once the part that gates the pipeline has crossed.
 
         With ``config.nic_cutthrough_flit == 0`` (the default, matching the
         paper's testbed: its QDMA and MPICH latency slopes are the *sum* of
@@ -157,23 +156,13 @@ class Elan4Nic:
         """
         flit = self.config.nic_cutthrough_flit
         if flit <= 0 or nbytes <= flit:
-            yield from self.pci.dma(nbytes)
-            return
-        yield from self.pci.dma(flit)
-        self.sim.spawn(self.pci.dma(nbytes - flit), name="dma-stream")
-
-    def stream_dma_then(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Callback form of :meth:`stream_dma` (the QDMA engine's): the same
-        bus traffic, then ``fn(*args)`` once the gating part has crossed."""
-        flit = self.config.nic_cutthrough_flit
-        if flit <= 0 or nbytes <= flit:
-            self.pci.dma_then(nbytes, fn, *args)
+            self.pci.dma(nbytes, fn, *args)
         else:
-            self.pci.dma_then(flit, self._stream_rest, nbytes - flit, fn, args)
+            self.pci.dma(flit, self._stream_rest, nbytes - flit, fn, args)
 
     def _stream_rest(self, rest: int, fn: Callable[..., Any], args: tuple) -> None:
         # the tail streams behind the pipeline: bus time, nobody waits on it
-        self.sim.schedule_pooled(0.0, self.pci.dma_then, (rest, _streamed))
+        self.sim.schedule_pooled(0.0, self.pci.dma, (rest, _streamed))
         fn(*args)
 
     # -- event engine ------------------------------------------------------
@@ -206,6 +195,16 @@ class Elan4Nic:
         if count == 0:
             for ev in self._drain_waiters.pop(ctx, []):
                 ev.succeed(None)
+
+    def send_on_wire(self, ok: bool, ctx: int, done: Optional[ElanEvent]) -> None:
+        """``Fabric.inject`` continuation of a QDMA or Tport send: the packet
+        is on the wire (or was refused), so the send buffer is reusable —
+        ``done`` fires unless refused — and the pending slot returns."""
+        try:
+            if ok and done is not None:
+                done.fire()
+        finally:
+            self.untrack_pending(ctx)
 
     def pending_ops(self, ctx: int) -> int:
         return self._pending.get(ctx, 0)

@@ -278,7 +278,7 @@ class QdmaEngine:
         obs_t0 = self.sim.now if self.nic.obs is not None else 0.0
         if fetch_host and payload.nbytes > 0:
             # cut-through fetch of the payload from host memory
-            self.nic.stream_dma_then(
+            self.nic.stream_dma(
                 payload.nbytes, self._send_packet,
                 src_ctx, src_vpid, dst_vpid, queue_id, payload, meta, done, obs_t0,
             )
@@ -309,7 +309,7 @@ class QdmaEngine:
                 Packet(self.nic.node_id, -1, payload.nbytes, "qdma", meta=dict(meta)),
                 reason=f"destination vpid {dst_vpid} released",
             )
-            self._send_on_wire(True, src_ctx, done)
+            self.nic.send_on_wire(True, src_ctx, done)
             return
         try:
             pkt = Packet(
@@ -337,19 +337,10 @@ class QdmaEngine:
                     node=self.nic.node_id,
                     nbytes=payload.nbytes,
                 )
-            self.nic.fabric.inject(pkt, self._send_on_wire, src_ctx, done)
+            self.nic.fabric.inject(pkt, self.nic.send_on_wire, src_ctx, done)
         except BaseException:
             self.nic.untrack_pending(src_ctx)
             raise
-
-    def _send_on_wire(self, ok: bool, src_ctx: int, done: Optional[ElanEvent]) -> None:
-        """The packet is on the wire (or was refused): the send buffer is
-        reusable, the pending slot returns."""
-        try:
-            if ok and done is not None:
-                done.fire()
-        finally:
-            self.nic.untrack_pending(src_ctx)
 
     # -- NIC receive path ----------------------------------------------------
     def handle_packet(self, pkt: Packet) -> None:
@@ -369,7 +360,7 @@ class QdmaEngine:
         t_rx0 = self.sim.now if self.nic.obs is not None else 0.0
         # cut-through DMA of the payload into the QSLOT host memory
         self.sim.schedule_pooled(
-            0.0, self.nic.stream_dma_then,
+            0.0, self.nic.stream_dma,
             (pkt.nbytes, self._deliver_landed, q, pkt, t_rx0),
         )
 

@@ -144,7 +144,7 @@ class RdmaEngine:
     # last chunk is on the wire or the pump died (``ok`` False).
     def _fetch(self, job: tuple, offset: int) -> None:
         chunk = min(CHUNK_BYTES, job[2] - offset)
-        self.nic.pci.dma_then(chunk, self._fetched, job, offset, chunk)
+        self.nic.pci.dma(chunk, self._fetched, job, offset, chunk)
 
     def _fetched(self, job: tuple, offset: int, chunk: int) -> None:
         space, host_addr, nbytes, dst_node, kind, meta, on_wire, args = job
@@ -213,7 +213,7 @@ class RdmaEngine:
 
     def _land_write(self, pkt: Packet) -> None:
         space, host_addr = self.nic.mmu.translate(pkt.meta["remote"], pkt.nbytes)
-        self.nic.pci.dma_then(pkt.nbytes, self._write_landed, pkt, space, host_addr)
+        self.nic.pci.dma(pkt.nbytes, self._write_landed, pkt, space, host_addr)
 
     def _write_landed(self, pkt: Packet, space, host_addr: int) -> None:
         if pkt.data is not None:
@@ -298,7 +298,7 @@ class RdmaEngine:
         space, host_addr = self.nic.mmu.translate(
             entry[0].local + pkt.meta["offset"], pkt.nbytes
         )
-        self.nic.pci.dma_then(pkt.nbytes, self._read_landed, pkt, entry, space, host_addr)
+        self.nic.pci.dma(pkt.nbytes, self._read_landed, pkt, entry, space, host_addr)
 
     def _read_landed(self, pkt: Packet, entry: list, space, host_addr: int) -> None:
         req_id = pkt.meta["req_id"]

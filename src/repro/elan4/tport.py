@@ -20,7 +20,7 @@ itself:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 from collections import deque
 
@@ -131,32 +131,16 @@ class TportEngine:
         done = ElanEvent(self.nic, count=1, name=f"tport-send@{context.vpid}")
         yield from self.nic.pci.pio_write()
         if nbytes <= TPORT_EAGER_BYTES:
-            self.sim.schedule(
-                self.config.nic_cmd_process_us,
-                self._nic_send_eager,
-                context,
-                dst_vpid,
-                tag,
-                buf,
-                nbytes,
-                done,
-            )
+            command = (context, dst_vpid, tag, nbytes, buf, None, done)
         else:
             send_id = next(self._send_ids)
             src_e4 = context.map_buffer(buf.sub(0, nbytes))
             # the pending-send table owns the mapping from here: it is
             # unmapped when the receiver's FIN retires the send_id
             self._send_done[send_id] = (done, context, src_e4)
-            self.sim.schedule(
-                self.config.nic_cmd_process_us,
-                self._nic_send_rts,
-                context,
-                dst_vpid,
-                tag,
-                src_e4,
-                nbytes,
-                send_id,
-            )
+            rts = {"src_e4": src_e4, "send_id": send_id}
+            command = (context, dst_vpid, tag, nbytes, None, rts, None)
+        self.sim.schedule(self.config.nic_cmd_process_us, self._nic_send, *command)
         return done
 
     def host_post_recv(
@@ -172,62 +156,40 @@ class TportEngine:
         return done
 
     # -- NIC send side ---------------------------------------------------
-    def _nic_send_eager(
-        self, context, dst_vpid: int, tag: int, buf, nbytes: int, done: ElanEvent
-    ) -> None:
-        def run() -> Generator:
-            self.nic.track_pending(context.ctx)
-            try:
-                if nbytes > 0:
-                    yield from self.nic.stream_dma(nbytes)
+    # Plain callbacks (DESIGN.md §6 "Callback-form engines").  An eager send
+    # carries its payload (``buf``); a rendezvous RTS carries the source
+    # descriptor (``rts``) and completes on the receiver's FIN instead.
+    def _nic_send(self, *command) -> None:
+        """Command processing done: the send starts one kernel hop later."""
+        self.sim.schedule_pooled(0.0, self._send_begin, command)
+
+    def _send_begin(self, context, dst_vpid: int, tag: int, nbytes: int, buf,
+                    rts: Optional[Dict[str, Any]], done: Optional[ElanEvent]) -> None:
+        self.nic.track_pending(context.ctx)
+        if buf is not None and nbytes > 0:
+            self.nic.stream_dma(nbytes, self._send_packet,
+                                context, dst_vpid, tag, nbytes, buf, rts, done)
+        else:
+            self._send_packet(context, dst_vpid, tag, nbytes, buf, rts, done)
+
+    def _send_packet(self, context, dst_vpid: int, tag: int, nbytes: int, buf,
+                     rts: Optional[Dict[str, Any]], done: Optional[ElanEvent]) -> None:
+        try:
+            dst = self.nic.resolve_vpid(dst_vpid)
+            meta = {"src_vpid": context.vpid, "dst_ctx": dst.ctx, "tag": tag,
+                    "payload": nbytes}
+            header = self.config.mpich_header_bytes
+            if rts is None:
                 data = buf.read(0, nbytes) if nbytes > 0 else np.empty(0, np.uint8)
-                dst = self.nic.resolve_vpid(dst_vpid)
-                pkt = Packet(
-                    src_node=self.nic.node_id,
-                    dst_node=dst.node_id,
-                    nbytes=nbytes + self.config.mpich_header_bytes,
-                    kind="tport_eager",
-                    meta={
-                        "src_vpid": context.vpid,
-                        "dst_ctx": dst.ctx,
-                        "tag": tag,
-                        "payload": nbytes,
-                    },
-                    data=data,
-                )
-                yield from self.nic.fabric.transmit(pkt)
-                done.fire()
-            finally:
-                self.nic.untrack_pending(context.ctx)
-
-        self.sim.spawn(run(), name="tport-eager")
-
-    def _nic_send_rts(
-        self, context, dst_vpid: int, tag: int, src_e4: E4Addr, nbytes: int, send_id: int
-    ) -> None:
-        def run() -> Generator:
-            self.nic.track_pending(context.ctx)
-            try:
-                dst = self.nic.resolve_vpid(dst_vpid)
-                pkt = Packet(
-                    src_node=self.nic.node_id,
-                    dst_node=dst.node_id,
-                    nbytes=self.config.mpich_header_bytes,
-                    kind="tport_rts",
-                    meta={
-                        "src_vpid": context.vpid,
-                        "dst_ctx": dst.ctx,
-                        "tag": tag,
-                        "payload": nbytes,
-                        "src_e4": src_e4,
-                        "send_id": send_id,
-                    },
-                )
-                yield from self.nic.fabric.transmit(pkt)
-            finally:
-                self.nic.untrack_pending(context.ctx)
-
-        self.sim.spawn(run(), name="tport-rts")
+                pkt = Packet(self.nic.node_id, dst.node_id, nbytes + header,
+                             "tport_eager", meta, data)
+            else:
+                pkt = Packet(self.nic.node_id, dst.node_id, header, "tport_rts",
+                             {**meta, **rts})
+            self.nic.fabric.inject(pkt, self.nic.send_on_wire, context.ctx, done)
+        except BaseException:
+            self.nic.untrack_pending(context.ctx)
+            raise
 
     # -- NIC receive side --------------------------------------------------
     def handle_packet(self, pkt: Packet) -> None:
@@ -284,15 +246,19 @@ class TportEngine:
         self.sim.schedule(self.config.nic_match_us, scan)
 
     def _land_eager(self, entry: _PostedRecv, data, msg: TportMessage) -> None:
-        def run() -> Generator:
-            n = msg.nbytes
-            if n > 0:
-                yield from self.nic.stream_dma(n)
-                entry.buffer.write(np.asarray(data, np.uint8)[:n])
-            yield self.sim.timeout(self.config.nic_deliver_us)
-            entry.done.fire(msg)
+        self.sim.schedule_pooled(0.0, self._land_begin, (entry, data, msg))
 
-        self.sim.spawn(run(), name="tport-land")
+    def _land_begin(self, entry: _PostedRecv, data, msg: TportMessage) -> None:
+        if msg.nbytes > 0:
+            self.nic.stream_dma(msg.nbytes, self._landed, entry, data, msg)
+        else:
+            self._landed(entry, data, msg)
+
+    def _landed(self, entry: _PostedRecv, data, msg: TportMessage) -> None:
+        n = msg.nbytes
+        if n > 0:
+            entry.buffer.write(np.asarray(data, np.uint8)[:n])
+        self.sim.schedule_pooled(self.config.nic_deliver_us, entry.done.fire, (msg,))
 
     def _start_get(self, ctx: int, entry: _PostedRecv, rts_meta: Dict[str, Any], msg: TportMessage) -> None:
         """Rendezvous: pull the data from the sender with a pipelined get."""

@@ -9,9 +9,10 @@ chained DMA saves little on this platform (§6.2: "PCI-X bus and fast CPU
 
 The bus serialises bursts: one bus-master transaction at a time, FIFO
 arbitration.  PIO writes (doorbells) are small posted writes with a fixed
-cost.  A DMA comes in two forms over the same arbitration: the coroutine
-:meth:`PciBus.dma` for callers with a thread to suspend, and the callback
-:meth:`PciBus.dma_then` for the NIC engines.
+cost, issued by a host thread that suspends on them (a coroutine).  A DMA
+is bus-mastered by a NIC engine, which has no thread to suspend:
+:meth:`PciBus.dma` takes the continuation to call when the last burst is
+done.
 """
 
 from __future__ import annotations
@@ -52,52 +53,20 @@ class PciBus:
         yield self.sim.timeout(self.config.pio_write_us)
         self._bus.release()
 
-    def dma(self, nbytes: int) -> Generator:
-        """A bus-master DMA of ``nbytes``, split into arbitration bursts.
+    def dma(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
+        """A bus-master DMA of ``nbytes``, split into arbitration bursts,
+        then ``fn(*args)`` once the last burst completes.
 
-        The caller does not say which direction; cost is symmetric.  Returns
-        after the last burst completes.
+        The caller does not say which direction; cost is symmetric.
         """
-        remaining = max(0, int(nbytes))
-        self.bytes_moved += remaining
-        bus = self._bus
-        if remaining == 0:
-            # Zero-byte descriptors still arbitrate once (setup cost).
-            yield bus.request()
-            yield self.sim.timeout(self._setup_us)
-            bus.release()
-            return
-        if remaining <= BURST_BYTES:
-            # Single-burst fast path: the engines split transfers at 4 KB
-            # themselves, so nearly every DMA lands here.
-            yield bus.request()
-            yield self.sim.timeout(remaining * self._us_per_byte + self._setup_us)
-            bus.release()
-            return
-        first = True
-        while remaining > 0:
-            chunk = min(remaining, BURST_BYTES)
-            yield bus.request()
-            cost = chunk * self._us_per_byte
-            if first:
-                cost += self._setup_us
-                first = False
-            yield self.sim.timeout(cost)
-            bus.release()
-            remaining -= chunk
-
-    def dma_then(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Callback form of :meth:`dma` for the NIC engines, which have no
-        thread to suspend: the same bursts at the same cost through the same
-        FIFO arbitration, then ``fn(*args)``."""
         remaining = max(0, int(nbytes))
         self.bytes_moved += remaining
         self._burst(remaining, self._setup_us, fn, args)
 
     def _burst(self, remaining: int, setup_us: float, fn: Callable[..., Any],
                args: tuple) -> None:
-        """One arbitration burst of a :meth:`dma_then`; only the first pays
-        the setup cost (a zero-byte descriptor still arbitrates once)."""
+        """One arbitration burst of a :meth:`dma`; only the first pays the
+        setup cost (a zero-byte descriptor still arbitrates once)."""
         if remaining <= BURST_BYTES:
             self._bus.hold(remaining * self._us_per_byte + setup_us, fn, *args)
         else:

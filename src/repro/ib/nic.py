@@ -141,7 +141,7 @@ class IbNic:
         wqe = qp.send_queue.pop(0)
         if wqe.data is not None and len(wqe.data):
             # DMA the payload out of host memory once per WQE
-            fetch = (self.pci.dma_then, (len(wqe.data), self._tx_pump, qp, wqe, 0))
+            fetch = (self.pci.dma, (len(wqe.data), self._tx_pump, qp, wqe, 0))
         else:
             fetch = (self._tx_pump, (qp, wqe, 0))
         self.sim.schedule_pooled(self.config.ib_nic_wqe_us, *fetch)

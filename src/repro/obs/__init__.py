@@ -14,7 +14,7 @@ bit-identical either way, and identical to a run with obs off):
 
 Model objects hold ``obs = None`` when disabled; every hook site is a
 single attribute check, the same cost profile as the tracer/sanitizer
-hooks the sim-speed gate already covers.
+hooks the performance ledger (``benchmarks/perf``) already measures.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ directly; it holds an ``obs`` attribute that is ``None`` when
 observability is disabled (the default) and an :class:`Observer` when
 enabled.  Every hook site is therefore one attribute check in the
 disabled case — the same pattern the tracer and sanitizer already use —
-which is what keeps default runs bit-identical and the sim-speed gate
-honest.
+which is what keeps default runs bit-identical and the ledger's
+``host_s`` honest.
 
 The Observer owns:
 

@@ -66,8 +66,9 @@ Dispatch fast paths
 
 Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the pool,
 ready queue, and calendar (and the model-layer caches that key off the same
-flag): every entry goes through one binary heap — the reference path the
-determinism harness compares against.
+flag): every entry goes through one binary heap — the reference path
+``tests/sim/test_fastpath.py`` and the CI ``slowpath-equivalence`` job
+compare against.
 """
 
 from __future__ import annotations
@@ -249,10 +250,10 @@ class Simulator:
         self._over_max = 0.0
         self._cancelled_in_heap = 0
         #: total callbacks executed (cancelled skips excluded) — the
-        #: numerator of the sim-speed harness's events/sec metric
+        #: performance ledger's ``sim.events``
         self.events_processed = 0
         #: optional semantic event trace: models append tuples here when it
-        #: is a list (the determinism harness compares these sequences
+        #: is a list (tests/sim/test_fastpath.py compares these sequences
         #: between fast-path and slow-path runs)
         self.trace: Optional[list] = None
         #: runtime sanitizer (repro.analysis), attached when REPRO_SANITIZE=1

@@ -31,12 +31,13 @@ class Resource:
     if every client were a coroutine:
 
     * **coroutine** — ``yield res.request()``: an event that fires when a
-      unit is granted; the holder calls ``release()`` once per grant;
+      unit is granted; the holder calls ``release()`` once per grant.  Host
+      threads use it (a CPU, a socket lock, a PIO doorbell on the bus);
     * **callback** — ``res.grant(fn, *args)`` runs ``fn(*args)`` when a unit
       is granted (the holder still calls ``release()``), and
       ``res.hold(duration, fn, *args)`` is the whole
-      request -> timeout -> release cycle, then ``fn(*args)``.  This is what
-      the NIC engines use: a DMA burst or a packet serialisation needs no
+      request -> timeout -> release cycle, then ``fn(*args)``.  The NIC and
+      HCA engines use it: a DMA burst or a packet serialisation needs no
       generator to suspend.
 
     A grant is always one zero-delay kernel hop after the request or the
@@ -127,10 +128,6 @@ class Resource:
             return True
         except ValueError:
             return False
-
-    def acquire(self):
-        """Coroutine helper: ``yield from res.acquire()``."""
-        yield self.request()
 
     @property
     def queue_length(self) -> int:

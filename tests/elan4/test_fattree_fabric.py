@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import default_config
 from repro.elan4.fattree import build_quaternary_fat_tree, leaf_name
 from repro.elan4.network import Fabric, FabricError, Packet
 from repro.elan4.switch import Elite4Switch
@@ -75,7 +74,7 @@ def test_fabric_delivers_packet_with_data():
     cluster.nics[1]._dispatch["test"] = lambda pkt: got.append(pkt)
     payload = np.arange(64, dtype=np.uint8)
     pkt = Packet(src_node=0, dst_node=1, nbytes=64, kind="test", data=payload)
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     assert len(got) == 1
     assert np.array_equal(got[0].data, payload)
@@ -89,7 +88,7 @@ def test_fabric_latency_model():
     cluster.nics[1]._dispatch["test"] = lambda pkt: times.append(cluster.sim.now)
     nbytes = 1024
     pkt = Packet(src_node=0, dst_node=1, nbytes=nbytes, kind="test")
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     expected = (nbytes + Fabric.FRAME_BYTES) * cfg.link_us_per_byte + (
         cfg.switch_hop_us + cfg.wire_prop_us
@@ -102,12 +101,8 @@ def test_fabric_preserves_pairwise_order():
     seen = []
     cluster.nics[1]._dispatch["test"] = lambda pkt: seen.append(pkt.meta["i"])
 
-    def sender():
-        for i in range(10):
-            pkt = Packet(0, 1, 128, "test", meta={"i": i})
-            yield from cluster.fabric.transmit(pkt)
-
-    cluster.sim.spawn(sender())
+    for i in range(10):
+        cluster.fabric.inject(Packet(0, 1, 128, "test", meta={"i": i}))
     cluster.run()
     assert seen == list(range(10))
 
@@ -124,7 +119,7 @@ def test_fabric_tx_link_serializes():
     n = 4096
     for i in range(2):
         pkt = Packet(0, 1, n, "test", meta={"i": i})
-        cluster.sim.spawn(cluster.fabric.transmit(pkt))
+        cluster.fabric.inject(pkt)
     cluster.run()
     ser = (n + Fabric.FRAME_BYTES) * cfg.link_us_per_byte
     assert times[1] - times[0] == pytest.approx(ser)
@@ -132,17 +127,15 @@ def test_fabric_tx_link_serializes():
 
 def test_fabric_rejects_unattached_nodes():
     cluster = _mini_cluster()
-    pkt = Packet(0, 7, 10, "test")
-    gen = cluster.fabric.transmit(pkt)
     with pytest.raises(FabricError):
-        next(gen)
+        cluster.fabric.inject(Packet(0, 7, 10, "test"))
 
 
 def test_fabric_counts_switch_traffic():
     cluster = _mini_cluster(4)
     cluster.nics[1]._dispatch["test"] = lambda pkt: None
     pkt = Packet(0, 1, 16, "test")
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     assert sum(sw.packets_routed for sw in cluster.topology.switches.values()) == 1
 
@@ -156,7 +149,7 @@ def test_double_attach_rejected():
 def test_unknown_packet_kind_is_dropped_not_fatal():
     cluster = _mini_cluster()
     pkt = Packet(0, 1, 16, "bogus")
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     assert len(cluster.nics[1].dropped) == 1
     with pytest.raises(AssertionError):
@@ -185,7 +178,7 @@ def test_reroute_around_dead_root_switch():
     assert topo.reroutes == 1
     got = []
     cluster.nics[5]._dispatch["test"] = lambda pkt: got.append(pkt)
-    cluster.sim.spawn(cluster.fabric.transmit(Packet(0, 5, 64, "test")))
+    cluster.fabric.inject(Packet(0, 5, 64, "test"))
     cluster.run()
     assert len(got) == 1
     assert cluster.fabric.packets_delivered == 1
@@ -197,7 +190,7 @@ def test_reroute_around_dead_link():
     topo.fail_link("sw0.0", "sw1.0")
     got = []
     cluster.nics[5]._dispatch["test"] = lambda pkt: got.append(pkt)
-    cluster.sim.spawn(cluster.fabric.transmit(Packet(0, 5, 64, "test")))
+    cluster.fabric.inject(Packet(0, 5, 64, "test"))
     cluster.run()
     assert len(got) == 1
     assert topo.route(0, 5)[1] == "sw1.0p1"
@@ -225,7 +218,7 @@ def test_partition_raises_for_tracked_traffic():
     with no recovery story (neither droppable nor watchdog-covered)."""
     cluster = _mini_cluster(16)
     cluster.topology.fail_leaf(5)
-    cluster.sim.spawn(cluster.fabric.transmit(Packet(0, 5, 64, "test")))
+    cluster.fabric.inject(Packet(0, 5, 64, "test"))
     with pytest.raises(FabricError, match="partitioned"):
         cluster.run()
 
@@ -236,7 +229,7 @@ def test_partition_silently_drops_recoverable_traffic():
     cluster = _mini_cluster(16)
     cluster.topology.fail_leaf(5)
     pkt = Packet(0, 5, 64, "test", meta={"droppable": True})
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     assert cluster.fabric.packets_unroutable == 1
     assert cluster.fabric.packets_delivered == 0

@@ -1,6 +1,5 @@
 """Property tests for the fabric: FIFO per pair, conservation, loss bounds."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +31,7 @@ def test_property_pairwise_fifo_under_any_schedule(schedule):
             continue
         expected.setdefault((src, dst), []).append(i)
         pkt = Packet(src, dst, size, "probe", meta={"i": i})
-        cluster.sim.spawn(cluster.fabric.transmit(pkt))
+        cluster.fabric.inject(pkt)
     cluster.run()
     for pair, order in expected.items():
         assert seen.get(pair, []) == order
@@ -53,14 +52,10 @@ def test_property_loss_conserves_packets(n_packets, loss, seed):
     got = []
     cluster.nics[1]._dispatch["probe"] = lambda pkt: got.append(pkt.meta["d"])
 
-    def sender():
-        for i in range(n_packets):
-            droppable = i % 2 == 0
-            pkt = Packet(0, 1, 64, "probe", meta={"d": droppable,
-                                                  "droppable": droppable})
-            yield from cluster.fabric.transmit(pkt)
-
-    cluster.sim.spawn(sender())
+    for i in range(n_packets):
+        droppable = i % 2 == 0
+        meta = {"d": droppable, "droppable": droppable}
+        cluster.fabric.inject(Packet(0, 1, 64, "probe", meta=meta))
     cluster.run()
     assert len(got) + cluster.fabric.packets_lost == n_packets
     # every non-droppable packet arrived (odd indices: n // 2 of them)
@@ -85,12 +80,9 @@ def test_loss_is_deterministic_per_seed():
         got = []
         cluster.nics[1]._dispatch["probe"] = lambda pkt: got.append(pkt.meta["i"])
 
-        def sender():
-            for i in range(40):
-                pkt = Packet(0, 1, 16, "probe", meta={"i": i, "droppable": True})
-                yield from cluster.fabric.transmit(pkt)
-
-        cluster.sim.spawn(sender())
+        for i in range(40):
+            meta = {"i": i, "droppable": True}
+            cluster.fabric.inject(Packet(0, 1, 16, "probe", meta=meta))
         cluster.run()
         return got
 
@@ -106,11 +98,6 @@ def test_property_broadcast_reaches_exactly_the_listed_nodes(dsts):
     for nic in cluster.nics:
         nic._dispatch["probe"] = lambda pkt, nic=nic: got.add(nic.node_id)
 
-    def src():
-        yield from cluster.fabric.broadcast(
-            Packet(0, -1, 128, "probe"), sorted(dsts)
-        )
-
-    cluster.sim.spawn(src())
+    cluster.fabric.broadcast(Packet(0, -1, 128, "probe"), sorted(dsts))
     cluster.run()
     assert got == set(dsts)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.elan4.capability import CapabilityError
 from repro.elan4.network import Packet
 from repro.elan4.nic import NicError
 from repro.elan4.rdma import RdmaDescriptor
@@ -94,15 +93,8 @@ def test_broadcast_and_unicast_interleave_in_order():
             (nic.node_id, pkt.meta["k"])
         )
 
-    def src():
-        yield from cluster.fabric.transmit(
-            Packet(0, 1, 4096, "probe", meta={"k": "uni"})
-        )
-        yield from cluster.fabric.broadcast(
-            Packet(0, -1, 64, "probe", meta={"k": "bc"}), [1, 2]
-        )
-
-    cluster.sim.spawn(src(), name="src")
+    cluster.fabric.inject(Packet(0, 1, 4096, "probe", meta={"k": "uni"}))
+    cluster.fabric.broadcast(Packet(0, -1, 64, "probe", meta={"k": "bc"}), [1, 2])
     cluster.run()
     at_node1 = [k for n, k in order if n == 1]
     assert at_node1 == ["uni", "bc"]

@@ -86,7 +86,7 @@ def test_nic_stall_delays_but_delivers():
     inj = FaultInjector(cluster, plan)
     inj.arm()
     pkt = Packet(0, 1, 64, "test", data=np.arange(64, dtype=np.uint8))
-    cluster.sim.spawn(cluster.fabric.transmit(pkt))
+    cluster.fabric.inject(pkt)
     cluster.run()
     assert len(times) == 1
     assert times[0] >= 500.0  # held for the stall, then replayed

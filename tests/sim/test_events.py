@@ -61,6 +61,26 @@ def test_callbacks_run_at_processing_time():
     assert seen == [7.0]
 
 
+def test_succeed_now_resumes_the_waiter_inside_the_callers_event():
+    """No zero-delay hop: the waiting process runs before the completing
+    callback returns, and the run costs no extra kernel event."""
+    sim = Simulator()
+    ev = SimEvent(sim)
+    log = []
+
+    def waiter():
+        log.append((yield ev))
+
+    sim.spawn(waiter())
+    sim.schedule(1.0, lambda: (ev.succeed_now("v"), log.append("after")))
+    sim.run()
+    assert log == ["v", "after"] and ev.processed
+    # spawn hop, the scheduled call, the waiter's finish: no completion hop
+    assert sim.events_processed == 3
+    with pytest.raises(SimError):
+        ev.succeed_now()
+
+
 def test_callback_after_processed_runs_immediately():
     sim = Simulator()
     ev = SimEvent(sim)

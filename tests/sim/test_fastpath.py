@@ -128,16 +128,17 @@ def test_events_processed_counts_only_live_callbacks(fastsim):
 
 
 # ----------------------------------------- determinism: fast == reference
-def _mixed_workload(monkeypatch, slow):
-    """Sends + cancelled timeouts + one fault event, with the semantic
-    trace recorded.  Returns (trace, final_clock, bandwidth)."""
+# Each workload records the semantic trace and returns
+# (trace, final clock, modelled results); the env flag is read at
+# Simulator/Fabric/NIC construction, so the caller sets it first.
+def _mixed_workload():
+    """Sends + cancelled timeouts + one fault event on a two-rail stream."""
     from repro.cluster import Cluster
     from repro.core.ptl.elan4.module import Elan4PtlOptions
     from repro.faults import FaultInjector, FaultPlan
     from repro.mpi.world import make_mpi_stack_factory
     from repro.rte.environment import RteJob
 
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1" if slow else "0")
     cluster = Cluster(nodes=2, rails=2)
     sim = cluster.sim
     sim.trace = []
@@ -187,15 +188,79 @@ def _mixed_workload(monkeypatch, slow):
     return list(sim.trace), sim.now, out["bw"]
 
 
+def _alltoall8():
+    """8-node pairwise-exchange alltoall: the dense-traffic shape."""
+    from repro.cluster import Cluster
+    from repro.mpi.world import make_mpi_stack_factory
+    from repro.rte.environment import launch_job
+
+    cluster = Cluster(nodes=8)
+    cluster.sim.trace = []
+
+    def app(mpi):
+        chunks = [bytes([mpi.rank]) * 2048 for _ in range(8)]
+        yield from mpi.comm_world.barrier()
+        t0 = mpi.now
+        for _ in range(2):
+            yield from mpi.comm_world.alltoall(chunks)
+        return mpi.now - t0
+
+    results = launch_job(cluster, app, np=8, stack_factory=make_mpi_stack_factory())
+    cluster.assert_no_drops()
+    return list(cluster.sim.trace), cluster.sim.now, results
+
+
+def _retransmit_storm():
+    """Eager stream over the reliability substrate with 8 % seeded loss:
+    retransmit timers armed per fragment, most cancelled by the ACK, the
+    lost ones firing and re-arming with backoff."""
+    from repro.cluster import Cluster
+    from repro.core.ptl.elan4.module import Elan4PtlOptions
+    from tests.conftest import run_mpi_app
+
+    cluster = Cluster(nodes=2)
+    cluster.fabric.set_loss(0.08, seed=11)
+    cluster.sim.trace = []
+    nbytes, messages, window = 4096, 24, 8
+
+    def app(mpi):
+        buf = mpi.alloc(nbytes)
+        comm = mpi.comm_world
+        t0 = mpi.now
+        reqs = []
+        for _ in range(messages):
+            if len(reqs) >= window:
+                yield from mpi.wait(reqs.pop(0))
+            if mpi.rank == 0:
+                req = yield from comm.isend(buf, dest=1, tag=1, nbytes=nbytes)
+            else:
+                req = yield from comm.irecv(nbytes, source=0, tag=1, buffer=buf)
+            reqs.append(req)
+        yield from mpi.waitall(reqs)
+        if mpi.rank == 0:
+            yield from comm.recv(source=1, tag=2, nbytes=0)
+        else:
+            yield from comm.send(b"", dest=0, tag=2, nbytes=0)
+        return mpi.now - t0
+
+    options = Elan4PtlOptions(reliability=True, chained_fin=False)
+    results, _ = run_mpi_app(app, cluster=cluster, elan4_options=options)
+    return list(cluster.sim.trace), cluster.sim.now, results
+
+
 def test_fast_paths_never_change_modelled_behaviour(monkeypatch):
-    """The tentpole invariant: with sends, cancelled timers, and a mid-
-    stream rail kill, the fast-path run and the REPRO_SIM_SLOWPATH=1
-    reference run produce bit-identical semantic traces and clocks."""
-    fast_trace, fast_clock, fast_bw = _mixed_workload(monkeypatch, slow=False)
-    slow_trace, slow_clock, slow_bw = _mixed_workload(monkeypatch, slow=True)
-    assert fast_trace, "workload produced no semantic events"
-    assert any(ev[1] != "deliver" for ev in fast_trace), (
-        "fault campaign produced no loss/drop events")
-    assert fast_trace == slow_trace
-    assert fast_clock == slow_clock
-    assert fast_bw == slow_bw
+    """The tentpole invariant: on a mixed workload (sends, cancelled
+    timers, a mid-stream rail kill), an 8-node alltoall and a lossy
+    retransmit storm, the fast-path run and the REPRO_SIM_SLOWPATH=1
+    reference run produce bit-identical semantic traces, clocks and
+    modelled results."""
+    for workload in (_mixed_workload, _alltoall8, _retransmit_storm):
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "0")
+        fast = workload()
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+        slow = workload()
+        assert fast[0], f"{workload.__name__} produced no semantic events"
+        if workload is not _alltoall8:
+            assert any(ev[1] != "deliver" for ev in fast[0]), (
+                f"{workload.__name__} produced no loss/drop events")
+        assert fast == slow, workload.__name__
