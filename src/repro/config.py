@@ -218,19 +218,6 @@ class MachineConfig:
     rdma_max_retries: int = 4
 
     # ------------------------------------------------------------------
-    # Simulator fast paths (wall-clock only — never modelled microseconds;
-    # REPRO_SIM_SLOWPATH=1 overrides all three to the reference path)
-    # ------------------------------------------------------------------
-    #: healthy, untraced routes deliver via one analytically-summed event;
-    #: off = per-Elite-4-hop observation events for every packet
-    fabric_hop_coalescing: bool = True
-    #: memoise per-(src,dst) directional routes (invalidated by the
-    #: topology health epoch on every fault/repair)
-    fabric_route_cache: bool = True
-    #: MMU translation look-aside cache (invalidated on unmap)
-    mmu_tlb: bool = True
-
-    # ------------------------------------------------------------------
     # Collective framework (repro.coll)
     # ------------------------------------------------------------------
     #: allow NIC-offloaded collectives (hw broadcast / hw barrier) for the

@@ -24,7 +24,7 @@ once the packet is on the wire (DESIGN.md §6, "Callback-form engines").
 Routing takes one of two wall-clock paths with identical modelled time: the
 **coalesced** path (healthy fabric, default) charges all hop transits at
 injection and moves the packet with a single analytically-summed delivery
-event, while the **detailed** path (faulty topology, hop coalescing off, or
+event, while the **detailed** path (faulty topology or
 ``REPRO_SIM_SLOWPATH=1``) additionally schedules one observation event per
 Elite-4 hop at its traversal time.  The delivery event itself is scheduled
 the same way in both modes, so arrival times and event ordering never
@@ -113,15 +113,15 @@ class Fabric:
         self.down = False
         self.tracer = None  # wired by the Cluster
         self.obs = None  # observability hook, wired by the Cluster
-        # -- fast-path switches (wall-clock only; modelled time and event
-        # ordering are identical on every path, see DESIGN.md §"Performance
-        # model of the model") -------------------------------------------
-        slow = slowpath_enabled()
-        #: healthy+coalescing packets take one summed delivery event; when
-        #: off (or while the topology is faulty) each Elite-4 hop gets an
+        # -- fast paths (wall-clock only; modelled time and event ordering
+        # are identical on every path, see DESIGN.md §"Performance model of
+        # the model"); REPRO_SIM_SLOWPATH=1 turns both off ----------------
+        fast = not slowpath_enabled()
+        #: healthy packets take one summed delivery event; when off (or
+        #: while the topology is faulty) each Elite-4 hop gets an
         #: observation event at its traversal time
-        self.hop_coalescing = config.fabric_hop_coalescing and not slow
-        self._route_cache = config.fabric_route_cache and not slow
+        self.hop_coalescing = fast
+        self._route_cache = fast
         self._link_us = config.link_us_per_byte
         self._hop_us = config.switch_hop_us + config.wire_prop_us
         self.hop_transits = 0  # per-hop events taken (detailed mode only)

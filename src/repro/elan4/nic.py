@@ -69,7 +69,7 @@ class Elan4Nic:
         self.node_id = node.node_id
         self.fabric = fabric
         self.capability = capability
-        self.mmu = Elan4Mmu(tlb=config.mmu_tlb and not slowpath_enabled())
+        self.mmu = Elan4Mmu(tlb=not slowpath_enabled())
         #: each card sits behind its own PCI-X bridge segment, so multirail
         #: nodes do not serialise both NICs on one bus (the topology real
         #: multirail servers used — and the reason multirail pays at all)

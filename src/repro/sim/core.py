@@ -8,12 +8,17 @@ makes every run of the reproduction bit-for-bit deterministic.
 Time is a ``float`` in **microseconds**, matching the unit the paper reports
 (latency plots are in µs, bandwidth is derived as bytes / µs = MB/s).
 
-The future-event set (second-generation kernel)
------------------------------------------------
+The future-event set
+--------------------
 
-The reference structure is a single binary heap (what ``REPRO_SIM_SLOWPATH=1``
-still uses).  The fast path replaces it with a **calendar/ladder queue**
-holding the same ``(time, priority, seq, call)`` entries in four tiers:
+One binary heap of ``(time, priority, seq, call)`` entries holds every timed
+callback, on both kernels.  On the ledger workloads the timed population is
+small (a mean of 1–124 pending entries, a peak of 1.6 k) because most events
+are zero-delay and never reach it, so C ``heapq`` costs no more than a
+Python-level bucket structure; DESIGN.md §6 keeps the measurement.
+
+Dispatch fast paths
+-------------------
 
 * a **zero-delay ready queue**: an internal schedule at the current time
   with default priority always carries the largest ``seq`` so far, so it
@@ -21,54 +26,26 @@ holding the same ``(time, priority, seq, call)`` entries in four tiers:
   later — a FIFO deque reproduces that order exactly without paying two
   O(log n) heap operations (completions and process resumes are almost all
   zero-delay, making this the single hottest path of any run);
-* an **active heap**: a small binary heap holding only the near future —
-  every entry whose time falls below ``_active_limit`` (the end of the
-  last-promoted calendar bucket).  Pops come off this heap, so its size —
-  not the total timer population — sets the log factor;
-* a **calendar ring** of ``_RING_BUCKETS`` append-only time buckets.  An
-  insert beyond ``_active_limit`` but inside the ring horizon is an O(1)
-  ``list.append`` into the bucket covering its timestamp.  When the active
-  heap drains, the next non-empty bucket is *promoted*: its entries are
-  filtered of cancellations and heapified into the active heap (bucket-local
-  cleanup — dead timers never cost a global sweep);
-* an **overflow heap** for far-future timers (retransmit timeouts,
-  heartbeats) beyond the ring horizon.  When ring and active heap are both
-  empty the ring is rebuilt over the overflow's observed time span — the
-  bucket width derives from the span of pending far timestamps, so the ring
-  adapts to the workload's inter-event deltas.  Each entry migrates at most
-  once, keeping amortized cost O(1) per event.
-
-**Order is provably unchanged.**  Bucket index is a canonical monotone
-function of time (guarded against float rounding), buckets are promoted only
-when the active heap is empty, and promoted entries keep their original
-``(time, priority, seq)`` keys — so the interleaved pop sequence is exactly
-the single-heap pop sequence.  ``tests/sim/test_calendar_queue.py`` checks
-this differentially against a plain-heap reference on randomized schedules.
-
-Dispatch fast paths
--------------------
-
 * **same-timestamp batch dispatch**: ``run()`` drains consecutive ready
   entries back-to-back behind one cheap guard (no due entry at ``now`` on
-  the active heap), paying the full dequeue arbitration — shared with
+  the heap), paying the full dequeue arbitration — shared with
   :meth:`Simulator.step` via :meth:`Simulator._next_call` — only at batch
   boundaries;
 * a **free-list pool** of :class:`ScheduledCall` objects for internal
   schedules whose handle never escapes (event completion, process resume) —
   the dominant allocation of any run;
 * **lazy-cancellation cleanup**: cancelled entries are counted and skipped
-  when they surface; ring buckets shed them at promotion; when dead entries
-  outnumber live ones the remaining structures (active + overflow heaps)
-  are swept (entries keep their ``(time, priority, seq)`` keys, so pop
+  when they surface; when dead entries outnumber live ones the heap is
+  swept in place (entries keep their ``(time, priority, seq)`` keys, so pop
   order is untouched);
-* an **O(live-head)** :meth:`peek` that advances the calendar lazily
-  instead of sorting anything.
+* an **O(live-head)** :meth:`peek` that drops dead heads instead of sorting
+  anything.
 
 Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the pool,
-ready queue, and calendar (and the model-layer caches that key off the same
-flag): every entry goes through one binary heap — the reference path
-``tests/sim/test_fastpath.py`` and the CI ``slowpath-equivalence`` job
-compare against.
+ready queue and compaction (and the model-layer caches that key off the
+same flag): every entry goes through the heap — the reference path
+``tests/sim/test_fastpath.py``, ``tests/sim/test_calendar_queue.py`` and
+the CI ``slowpath-equivalence`` job compare against.
 """
 
 from __future__ import annotations
@@ -95,21 +72,10 @@ _POOL_MAX = 4096
 #: sweep is O(pending), so tiny queues are never worth scanning)
 _COMPACT_MIN_CANCELLED = 64
 
-#: calendar ring size.  Power of two, large enough that a promoted bucket
-#: holds a handful of entries on the bench workloads, small enough that
-#: skipping empty buckets between promotions stays cheap.
-_RING_BUCKETS = 128
-
-#: floor for the derived bucket width (µs) — a degenerate span (all far
-#: timers at one timestamp) must not produce zero-width buckets
-_MIN_WIDTH = 1e-6
-
-_INF = float("inf")
-
 
 def slowpath_enabled() -> bool:
     """True when ``REPRO_SIM_SLOWPATH`` asks for the reference kernel (and
-    reference model paths: no call pool, no ready queue, no calendar ring,
+    reference model paths: no call pool, no ready queue, no compaction,
     no route/TLB caches, per-hop fabric events)."""
     return os.environ.get("REPRO_SIM_SLOWPATH", "0") not in ("", "0")
 
@@ -131,9 +97,8 @@ class StopSimulation(Exception):
 class ScheduledCall:
     """Handle for a scheduled callback; supports cancellation.
 
-    Cancellation is O(1): the entry stays where it sits (active heap,
-    calendar bucket, or overflow heap) and is skipped when it surfaces;
-    calendar buckets drop dead entries wholesale at promotion time.  This is
+    Cancellation is O(1): the entry stays in the heap and is skipped when it
+    surfaces, or swept out once dead entries outnumber live ones.  This is
     important because the NIC models schedule and cancel many timeouts
     (e.g. retransmission timers in the reliability substrate).
 
@@ -220,34 +185,10 @@ class Simulator:
         self.fastpath: bool = not slowpath_enabled()
         self._pool: List[ScheduledCall] = []
         #: zero-delay internal calls, as (seq, call) in FIFO order; ``None``
-        #: on the slow path (everything goes through the active heap there)
+        #: on the slow path (everything goes through the heap there)
         self._ready: Optional[deque] = deque() if self.fastpath else None
-        # -- calendar/ladder future-event set --------------------------
-        #: near-future heap of (time, priority, seq, call); on the slow
-        #: path this is the *only* structure (the reference binary heap)
-        self._active: list[tuple[float, int, int, ScheduledCall]] = []
-        self._overflow: list[tuple[float, int, int, ScheduledCall]] = []
-        if self.fastpath:
-            #: bucket k covers [_bounds[k], _bounds[k+1]); rebuilt lazily
-            self._bounds: List[float] = [0.0] * (_RING_BUCKETS + 1)
-            self._ring: List[list] = [[] for _ in range(_RING_BUCKETS)]
-            #: inserts below this go straight to the active heap
-            self._active_limit = 0.0
-            #: inserts at/beyond this go to the overflow heap
-            self._horizon = 0.0
-        else:
-            self._bounds = []
-            self._ring = []
-            self._active_limit = _INF
-            self._horizon = _INF
-        self._inv_width = 1.0
-        #: index of the last promoted ring bucket (-1: none this cycle)
-        self._cursor = -1
-        #: live + cancelled entries currently sitting in ring buckets
-        self._ring_count = 0
-        #: largest finite timestamp ever pushed to the overflow heap —
-        #: bounds the span the next ring rebuild sizes its buckets from
-        self._over_max = 0.0
+        #: the future-event set: a binary heap of (time, priority, seq, call)
+        self._heap: list[tuple[float, int, int, ScheduledCall]] = []
         self._cancelled_in_heap = 0
         #: total callbacks executed (cancelled skips excluded) — the
         #: performance ledger's ``sim.events``
@@ -286,11 +227,7 @@ class Simulator:
         time = self.now + delay
         call = ScheduledCall(time, fn, args)
         call._sim = self
-        seq = next(self._seq)
-        if time < self._active_limit:
-            heappush(self._active, (time, priority, seq, call))
-        else:
-            self._insert_far(time, priority, seq, call)
+        heappush(self._heap, (time, priority, next(self._seq), call))
         return call
 
     def schedule_at(
@@ -305,11 +242,7 @@ class Simulator:
             raise SimError(f"cannot schedule in the past: {time} < {self.now}")
         call = ScheduledCall(time, fn, args)
         call._sim = self
-        seq = next(self._seq)
-        if time < self._active_limit:
-            heappush(self._active, (time, priority, seq, call))
-        else:
-            self._insert_far(time, priority, seq, call)
+        heappush(self._heap, (time, priority, next(self._seq), call))
         return call
 
     def schedule_pooled(
@@ -355,11 +288,7 @@ class Simulator:
         else:
             call = ScheduledCall(time, fn, args)
             call._pooled = True
-        seq = next(self._seq)
-        if time < self._active_limit:
-            heappush(self._active, (time, 0, seq, call))
-        else:
-            self._insert_far(time, 0, seq, call)
+        heappush(self._heap, (time, 0, next(self._seq), call))
         return call
 
     def spawn(self, gen: Generator, name: Optional[str] = None, daemon: bool = False):
@@ -383,143 +312,19 @@ class Simulator:
         return cls(self)
 
     # ------------------------------------------------------------------
-    # Calendar ring internals
-    # ------------------------------------------------------------------
-    def _bucket_index(self, time: float) -> int:
-        """Canonical ring bucket for ``time``: the unique ``k`` with
-        ``_bounds[k] <= time < _bounds[k+1]`` (clamped at the ends).
-
-        The division is only a guess; the guard loops pin the result to the
-        bucket that actually covers ``time``, so float rounding at a bucket
-        boundary can never route two equal timestamps differently — the
-        property the ordering proof rests on (monotone in ``time``).
-        """
-        bounds = self._bounds
-        idx = int((time - bounds[0]) * self._inv_width)
-        if idx >= _RING_BUCKETS:
-            idx = _RING_BUCKETS - 1
-        elif idx < 0:
-            idx = 0
-        while idx and time < bounds[idx]:
-            idx -= 1
-        last = _RING_BUCKETS - 1
-        while idx < last and time >= bounds[idx + 1]:
-            idx += 1
-        return idx
-
-    def _insert_far(self, time: float, priority: int, seq: int, call) -> None:
-        """Insert an entry at/beyond ``_active_limit``: O(1) append into its
-        calendar bucket, or an overflow-heap push past the ring horizon."""
-        entry = (time, priority, seq, call)
-        if time >= self._horizon:
-            heappush(self._overflow, entry)
-            if self._over_max < time < _INF:
-                self._over_max = time
-            return
-        idx = self._bucket_index(time)
-        if idx <= self._cursor:
-            # float rounding put a sub-limit timestamp here; the promoted
-            # region is served by the active heap
-            heappush(self._active, entry)
-        else:
-            self._ring[idx].append(entry)
-            self._ring_count += 1
-
-    def _promote(self) -> bool:
-        """Refill the (empty) active heap from the next non-empty ring
-        bucket, or rebuild the ring from the overflow heap.  Returns True
-        when the active heap ends up non-empty with a live head.
-
-        Only called with the active heap empty, which is what makes
-        promotion order-transparent: every entry already popped was in a
-        strictly earlier bucket, hence strictly earlier in time.
-        """
-        active = self._active
-        while True:
-            while active:
-                if not active[0][3].cancelled:
-                    return True
-                heappop(active)
-                self._cancelled_in_heap -= 1
-            if self._ring_count:
-                ring = self._ring
-                c = self._cursor + 1
-                while c < _RING_BUCKETS and not ring[c]:
-                    c += 1
-                if c < _RING_BUCKETS:
-                    bucket = ring[c]
-                    self._cursor = c
-                    self._active_limit = self._bounds[c + 1]
-                    self._ring_count -= len(bucket)
-                    dead = 0
-                    for entry in bucket:
-                        if entry[3].cancelled:
-                            dead += 1
-                        else:
-                            active.append(entry)
-                    bucket.clear()
-                    if dead:
-                        self._cancelled_in_heap -= dead
-                    if active:
-                        # In place: run() may hold an alias to the list.
-                        heapify(active)
-                    continue
-                self._ring_count = 0  # defensive: counter drifted
-            if self._overflow:
-                self._rebuild_ring()
-                continue
-            return False
-
-    def _rebuild_ring(self) -> None:
-        """Re-anchor the calendar over the overflow heap's time span.
-
-        Bucket width = observed span of pending far timestamps divided by
-        the ring size (floored) — the deltas the workload actually exhibits
-        size the buckets, so a retransmit-timer storm lands spread across
-        the ring while a lone far heartbeat degrades to one bucket.  Every
-        migrated entry keeps its key and migrates at most once (the horizon
-        only moves forward), so the amortized cost stays O(1) per event.
-        """
-        overflow = self._overflow
-        while overflow and overflow[0][3].cancelled:
-            heappop(overflow)
-            self._cancelled_in_heap -= 1
-        if not overflow:
-            return
-        t0 = overflow[0][0]
-        if not t0 < _INF:
-            # Only non-finite timestamps remain: no meaningful span exists;
-            # serve them straight from the active heap (plain-heap mode).
-            active = self._active
-            while overflow:
-                active.append(heappop(overflow))
-            heapify(active)
-            return
-        span = self._over_max - t0
-        width = span / _RING_BUCKETS if span > 0 else 1.0
-        if width < _MIN_WIDTH:
-            width = _MIN_WIDTH
-        bounds = self._bounds
-        for k in range(_RING_BUCKETS + 1):
-            bounds[k] = t0 + k * width
-        self._inv_width = 1.0 / width
-        self._cursor = -1
-        self._active_limit = bounds[0]
-        horizon = self._horizon = bounds[_RING_BUCKETS]
-        ring = self._ring
-        moved = 0
-        while overflow and overflow[0][0] < horizon:
-            entry = heappop(overflow)
-            if entry[3].cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            ring[self._bucket_index(entry[0])].append(entry)
-            moved += 1
-        self._ring_count += moved
-
-    # ------------------------------------------------------------------
     # Cancellation bookkeeping / compaction
     # ------------------------------------------------------------------
+    def _live_head(self) -> bool:
+        """Drop cancelled entries off the heap top; True when a live entry
+        heads the heap."""
+        heap = self._heap
+        while heap:
+            if not heap[0][3].cancelled:
+                return True
+            heappop(heap)
+            self._cancelled_in_heap -= 1
+        return False
+
     def _note_cancelled(self) -> None:
         """Called by :meth:`ScheduledCall.cancel`; triggers a lazy sweep
         when dead entries outnumber live ones."""
@@ -527,31 +332,18 @@ class Simulator:
         if (
             self.fastpath
             and self._cancelled_in_heap >= _COMPACT_MIN_CANCELLED
-            and self._cancelled_in_heap * 2
-            > len(self._active) + self._ring_count + len(self._overflow)
+            and self._cancelled_in_heap * 2 > len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Sweep cancelled entries out of every tier.  Live entries keep
+        """Sweep cancelled entries out of the heap.  Live entries keep
         their ``(time, priority, seq)`` keys, so pop order is unchanged.
-        In place: :meth:`run` holds a local alias to the active heap, so
-        the list object must survive compaction.  Ring buckets are plain
-        appends — filtering them needs no heapify."""
-        active = self._active
-        active[:] = [entry for entry in active if not entry[3].cancelled]
-        heapify(active)
-        if self._ring_count:
-            removed = 0
-            for bucket in self._ring:
-                if bucket:
-                    n = len(bucket)
-                    bucket[:] = [e for e in bucket if not e[3].cancelled]
-                    removed += n - len(bucket)
-            self._ring_count -= removed
-        overflow = self._overflow
-        overflow[:] = [entry for entry in overflow if not entry[3].cancelled]
-        heapify(overflow)
+        In place: :meth:`run` holds a local alias to the heap, so the list
+        object must survive compaction."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapify(heap)
         self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------------
@@ -563,32 +355,32 @@ class Simulator:
         then advanced exactly to ``until``, standard DES semantics).
 
         This is the single copy of the dequeue arbitration: the ready queue
-        merges against the active heap on ``(priority, seq)`` for entries
-        due *now*; otherwise the calendar advances (promotion / rebuild)
-        and time moves to the next live entry.  ``run()`` fronts this with
-        a batch guard; :meth:`step` calls it directly.
+        merges against the heap on ``(priority, seq)`` for entries due
+        *now*; otherwise dead heads are dropped and time moves to the next
+        live entry.  ``run()`` fronts this with a batch guard; :meth:`step`
+        calls it directly.
         """
         ready = self._ready
         now = self.now
-        active = self._active
+        heap = self._heap
         while True:
             if ready:
                 # A heap entry goes first only if it is due *now* and
                 # sorts before the oldest ready entry's (priority, seq).
-                if active and active[0][0] == now:
-                    h = active[0]
+                if heap and heap[0][0] == now:
+                    h = heap[0]
                     if h[1] < 0 or (h[1] == 0 and h[2] < ready[0][0]):
                         if until is not None and now > until:
                             self.now = until
                             return None
-                        heappop(active)
+                        heappop(heap)
                         call = h[3]
                         if call.cancelled:
                             self._cancelled_in_heap -= 1
                             continue
                         return call
                 return ready.popleft()[1]
-            if not self._promote():
+            if not self._live_head():
                 if until is not None and until > now:
                     self.now = until
                 elif self.sanitizer is not None:
@@ -596,12 +388,12 @@ class Simulator:
                     # blocked processes are deadlocked (cold path)
                     self.sanitizer.on_drain()
                 return None
-            entry = active[0]
+            entry = heap[0]
             time = entry[0]
             if until is not None and time > until:
                 self.now = until
                 return None
-            heappop(active)
+            heappop(heap)
             self.now = time
             return entry[3]
 
@@ -630,7 +422,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         ready = self._ready  # None on the slow path
-        active = self._active
+        heap = self._heap
         pool = self._pool
         pooling = self.fastpath
         next_call = self._next_call
@@ -638,11 +430,11 @@ class Simulator:
         limit = -1 if max_events is None else max_events
         try:
             while True:
-                # Same-timestamp batch dispatch: while no active-heap entry
-                # is due at `now`, consecutive ready entries are already in
+                # Same-timestamp batch dispatch: while no heap entry is due
+                # at `now`, consecutive ready entries are already in
                 # dispatch order — drain them behind this one guard instead
                 # of re-running the full arbitration per pop.
-                if ready and not (active and active[0][0] == self.now):
+                if ready and not (heap and heap[0][0] == self.now):
                     call = ready.popleft()[1]
                 else:
                     call = next_call(until)
@@ -708,28 +500,22 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of pending entries (including cancelled placeholders)."""
         ready = self._ready
-        return (
-            len(self._active)
-            + self._ring_count
-            + len(self._overflow)
-            + (len(ready) if ready else 0)
-        )
+        return len(self._heap) + (len(ready) if ready else 0)
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None if nothing is pending.
 
-        O(1) when a live entry heads the ready queue or active heap;
-        otherwise the calendar advances lazily (dead heads dropped,
-        buckets promoted) until one surfaces — ``run_until_idle`` calls
-        this in a loop.
+        O(1) when a live entry heads the ready queue or heap; otherwise
+        dead heads are dropped until one surfaces — ``run_until_idle``
+        calls this in a loop.
         """
         ready = self._ready
         if ready:
             # Ready entries are due at the current time; nothing queued
             # can be earlier.
             return ready[0][1].time
-        if self._promote():
-            return self._active[0][0]
+        if self._live_head():
+            return self._heap[0][0]
         return None
 
     def run_until_idle(self, quiet_check: Iterable[Callable[[], bool]] = ()) -> float:

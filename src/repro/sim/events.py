@@ -218,11 +218,7 @@ class Timeout(SimEvent):
             else:
                 call = ScheduledCall(time, self._process, ())
                 call._pooled = True
-            seq = next(sim._seq)
-            if time < sim._active_limit:
-                heappush(sim._active, (time, 0, seq, call))
-            else:
-                sim._insert_far(time, 0, seq, call)
+            heappush(sim._heap, (time, 0, next(sim._seq), call))
             self._call = call
 
 

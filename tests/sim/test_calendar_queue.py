@@ -1,12 +1,14 @@
-"""Differential tests for the calendar/ladder queue (second-gen kernel).
+"""Differential tests for the kernel's dispatch fast paths.
 
-The fast-path future-event set (ready deque + active heap + calendar ring +
-overflow heap) must pop in exactly the order a single binary heap of
-``(time, priority, seq)`` keys would — that is the contract every
-determinism guarantee in this repo rests on.  These tests feed identical
-seeded, randomized schedules (mixed delays, priorities, exact same-time
-ties, cancellations, ``schedule_at``, ``until`` boundaries, ``step``
-interleavings) to the calendar-queue kernel and to the plain-heap reference
+The fast kernel keeps the reference kernel's binary heap and adds a
+zero-delay ready deque, a ``ScheduledCall`` pool, same-timestamp batch
+dispatch, the fused wake and lazy-cancellation compaction.  Together they
+must pop in exactly the order the plain heap of ``(time, priority, seq)``
+keys does — that is the contract every determinism guarantee in this repo
+rests on.  These tests feed identical seeded, randomized schedules (mixed
+delays, priorities, exact same-time ties, cancellations, a cancel storm
+that forces compaction mid-run, ``schedule_at``, ``until`` boundaries,
+``step`` interleavings) to the fast kernel and to the plain-heap reference
 (``REPRO_SIM_SLOWPATH=1``) and assert the fire sequences are identical.
 
 Randomness is driven by one ``random.Random(seed)`` whose draws happen in
@@ -20,9 +22,13 @@ import random
 
 import pytest
 
-from repro.sim.core import _RING_BUCKETS, Simulator
+from repro.sim.core import Simulator
 
 SEEDS = [1, 7, 23, 99, 1234, 20260808]
+
+#: far timers the cancel storm plants, and how many of them survive it
+STORM_TIMERS = 200
+STORM_SURVIVORS = 8
 
 
 def _run_schedule(seed: int, slowpath: bool, monkeypatch) -> dict:
@@ -38,8 +44,8 @@ def _run_schedule(seed: int, slowpath: bool, monkeypatch) -> dict:
         for _ in range(rng.randrange(1, 4)):
             label = next(labels)
             # Delay mix: zero-delay bursts, sub-µs jitter, mid-range, far
-            # future (overflow-heap territory), and integral times that
-            # produce exact same-timestamp ties across independent plants.
+            # future, and integral times that produce exact same-timestamp
+            # ties across independent plants.
             delay = rng.choice(
                 (
                     0.0,
@@ -64,12 +70,28 @@ def _run_schedule(seed: int, slowpath: bool, monkeypatch) -> dict:
         if depth < 6 and r < 0.55:
             plant(depth + 1)
         if handles and r > 0.75:
-            # Cancel a random pending handle — it may sit in the active
-            # heap, a ring bucket, or the overflow heap.
+            # Cancel a random pending handle (a no-op if it already fired).
             handles.pop(rng.randrange(len(handles))).cancel()
+
+    storm = {}
+
+    def cancel_storm(victims: list) -> None:
+        # Leaves far more dead entries than live ones, from inside a
+        # callback: the fast kernel compacts under a running run().
+        survivors = set(rng.sample(range(len(victims)), STORM_SURVIVORS))
+        for i, h in enumerate(victims):
+            if i not in survivors:
+                h.cancel()
+        storm["cancelled"] = len(victims) - STORM_SURVIVORS
+        storm["pending"] = sim.pending_count
 
     for _ in range(40):
         plant(0)
+    victims = [
+        sim.schedule(rng.uniform(1000.0, 5000.0), fire, next(labels), 6)
+        for _ in range(STORM_TIMERS)
+    ]
+    sim.schedule(rng.uniform(0.0, 40.0), cancel_storm, victims)
     while True:
         nxt = sim.peek()
         if nxt is None:
@@ -95,6 +117,7 @@ def _run_schedule(seed: int, slowpath: bool, monkeypatch) -> dict:
         "log": log,
         "final_now": sim.now,
         "events_processed": sim.events_processed,
+        "storm": storm,
     }
 
 
@@ -105,27 +128,29 @@ def test_calendar_queue_matches_plain_heap_reference(seed, monkeypatch):
     assert fast["log"] == slow["log"]
     assert fast["final_now"] == slow["final_now"]
     assert fast["events_processed"] == slow["events_processed"]
-    # The schedule must actually have exercised the structure.
+    # The schedule must actually have exercised the structure, and the
+    # storm must have compacted the heap on the fast kernel.
     assert fast["events_processed"] > 100
+    assert fast["storm"]["pending"] < fast["storm"]["cancelled"]
 
 
 def test_far_future_timers_migrate_through_ring(monkeypatch):
-    """Timers far beyond the first horizon end up in the overflow heap,
-    migrate into ring buckets on rebuild, and still fire in key order."""
+    """Far timers inserted in descending time order are all pending and
+    fire in key order."""
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     sim = Simulator()
     fired = []
     times = [float(t) for t in range(1000, 0, -7)]  # descending inserts
     for t in times:
         sim.schedule_at(t, fired.append, t)
-    assert len(sim._overflow) + len(sim._active) + sim._ring_count == len(times)
+    assert sim.pending_count == len(times)
     sim.run()
     assert fired == sorted(times)
 
 
 def test_cancellations_are_dropped_at_promotion(monkeypatch):
-    """Cancelled ring-bucket entries never surface and the cancelled
-    counter returns to zero once their buckets are promoted or swept."""
+    """Cancelled entries never surface and the cancelled counter returns
+    to zero once they are popped or swept."""
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     sim = Simulator()
     fired = []
@@ -138,15 +163,15 @@ def test_cancellations_are_dropped_at_promotion(monkeypatch):
 
 
 def test_rebuild_spans_single_timestamp(monkeypatch):
-    """A degenerate overflow population (every far timer at one timestamp)
-    must not produce zero-width buckets."""
+    """A pile-up of far timers at one timestamp fires in insertion
+    order."""
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     sim = Simulator()
     fired = []
-    for i in range(3 * _RING_BUCKETS):
+    for i in range(384):
         sim.schedule_at(1000.0, fired.append, i)
     sim.run()
-    assert fired == list(range(3 * _RING_BUCKETS))
+    assert fired == list(range(384))
     assert sim.now == 1000.0
 
 

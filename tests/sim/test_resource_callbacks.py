@@ -8,8 +8,8 @@ and the injection links is what the modelled series hang on.  Each seeded
 random schedule below runs twice: once with a mix of coroutine, ``hold`` and
 ``grant`` clients plus cancelled requests, once with every ``hold`` /
 ``grant`` client replaced by the coroutine it stands for; the completion
-sequences must be identical, on the calendar-queue kernel and on the
-plain-heap reference (``REPRO_SIM_SLOWPATH=1``).
+sequences must be identical, on the fast kernel and on the plain-heap
+reference (``REPRO_SIM_SLOWPATH=1``).
 """
 
 import random
