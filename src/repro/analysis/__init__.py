@@ -3,12 +3,14 @@
 Two halves, both serving the same contract — the simulator must stay
 bit-deterministic and resource-clean while the stack grows:
 
-* :mod:`repro.analysis.lint` — an AST linter (``python -m
-  repro.analysis.lint src/repro``) that statically forbids nondeterminism
-  hazards: wall-clock reads, unseeded randomness outside
-  :mod:`repro.sim.rng`, iteration over unordered sets, ``id()``-based
-  tie-breaks, and :meth:`~repro.sim.core.Simulator.schedule_pooled` handles
-  escaping the kernel's free list.
+* :mod:`repro.analysis.engine` — the whole-tree static analysis engine
+  (``python -m repro.analysis check src/repro``).  Its determinism pass
+  statically forbids nondeterminism hazards: wall-clock reads, unseeded
+  randomness outside :mod:`repro.sim.rng`, iteration over unordered sets,
+  ``id()``-based tie-breaks, and
+  :meth:`~repro.sim.core.Simulator.schedule_pooled` handles escaping the
+  kernel's free list; further passes check yield atomicity, resource
+  lifecycles and the import lattice.
 
 * :mod:`repro.analysis.sanitize` (+ :mod:`~repro.analysis.leakcheck`,
   :mod:`~repro.analysis.deadlock`) — opt-in runtime sanitizers, enabled

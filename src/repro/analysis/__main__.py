@@ -1,10 +1,7 @@
-"""``python -m repro.analysis <subcommand>``.
-
-* ``check`` (default) — the whole-tree engine: atomicity, lifecycle,
-  layering and determinism passes, SARIF output, baseline workflow
-  (:mod:`repro.analysis.engine.check`);
-* ``lint`` — the original determinism-only AST linter, kept for
-  compatibility (:mod:`repro.analysis.lint`).
+"""``python -m repro.analysis [check] ...`` — the whole-tree engine:
+atomicity, lifecycle, layering and determinism passes, SARIF output,
+baseline workflow (:mod:`repro.analysis.engine.check`).  The ``check``
+subcommand name is optional.
 """
 
 from __future__ import annotations
@@ -12,18 +9,13 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from repro.analysis.engine.check import main as check_main
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    command = "check"
-    if args and args[0] in ("check", "lint"):
-        command = args.pop(0)
-    if command == "lint":
-        from repro.analysis.lint import main as lint_main
-
-        return lint_main(args)
-    from repro.analysis.engine.check import main as check_main
-
+    if args and args[0] == "check":
+        args.pop(0)
     return check_main(args)
 
 

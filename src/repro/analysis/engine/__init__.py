@@ -11,7 +11,8 @@ builds per-function control-flow graphs with exception edges
 * ``lifecycle``   — ``@acquires``/``@releases`` pairing across all CFG
   paths including exception edges (the QDMA-abort leak class);
 * ``layering``    — the declared import lattice, violations at the import;
-* ``determinism`` — the PR 3 AST determinism rules, hosted on the engine.
+* ``determinism`` — wall-clock, unseeded-RNG, set-order, ``id()`` and
+  pooled-handle hazards to bit-for-bit reproducibility.
 
 Entry point: ``python -m repro.analysis check`` (see
 :mod:`repro.analysis.engine.check`), emitting human-readable or SARIF

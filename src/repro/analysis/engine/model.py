@@ -22,13 +22,12 @@ __all__ = [
     "AnalysisFinding",
     "Suppressions",
     "Baseline",
-    "SEVERITY_BY_RULE",
 ]
 
-#: one suppression comment grammar across the whole engine (inherited from
-#: the PR 3 linter): ``# repro-lint: allow[rule1,rule2] -- reason``; the
-#: reason is mandatory — a reasonless suppression never parses and the
-#: check CLI additionally reports it as a finding of its own.
+#: the one suppression comment grammar across the whole engine:
+#: ``# repro-lint: allow[rule1,rule2] -- reason``; the reason is mandatory
+#: — a reasonless suppression suppresses nothing and the check CLI reports
+#: it as a finding of its own.
 _ALLOW_RE = re.compile(
     r"#\s*repro-lint:\s*allow\[([a-z0-9_,\s\-]+)\]\s*(?:--\s*(\S.*))?$"
 )
@@ -40,20 +39,6 @@ class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
     NOTE = "note"
-
-
-#: default severity per rule id; passes may override per finding
-SEVERITY_BY_RULE: Dict[str, Severity] = {
-    "atomicity": Severity.ERROR,
-    "lifecycle": Severity.ERROR,
-    "layering": Severity.ERROR,
-    "wallclock": Severity.ERROR,
-    "random": Severity.ERROR,
-    "set-iter": Severity.ERROR,
-    "id-order": Severity.WARNING,
-    "pool-escape": Severity.ERROR,
-    "suppression": Severity.ERROR,
-}
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ class Pml:
 
     def retire(self, req: Request) -> None:
         self.requests.pop(req.req_id, None)
-        key = getattr(req, "_rndv_key", None)
+        key = req.rndv_key
         if key is not None:
             self._active_rndv.pop(key, None)
 
@@ -296,7 +296,7 @@ class Pml:
                 # sender re-sends this fragment and we re-run the protocol
                 key = (hdr.ctx_id, hdr.src_rank, hdr.seq)
                 self._active_rndv[key] = req
-                req._rndv_key = key
+                req.rndv_key = key
             yield from frag.ptl.matched(thread, req, frag)
         else:  # pragma: no cover - PTLs only hand up MATCH/RNDV
             raise PmlError(f"unmatchable fragment type {hdr.type_name}")
@@ -383,7 +383,7 @@ class Pml:
                 if isinstance(r, SendRequest)
                 and r.dst_rank == rank
                 and not r.completed
-                and getattr(r, "ptl_module", None) is module
+                and r.ptl_module is module
             ]
             try:
                 survivor = self.module_for(rank)

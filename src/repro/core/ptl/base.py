@@ -36,6 +36,7 @@ class PtlModule:
 
     * ``local_info()`` — contact info published to the RTE registry;
     * ``add_peer(thread, rank, info)`` — wire up one peer;
+    * ``remove_peer(rank)`` — drop one peer's wiring;
     * ``send_first(thread, req)`` — transmit the first fragment (eager
       MATCH or RNDV), per the PML's scheduling decision;
     * ``matched(thread, recv_req, frag)`` — the PML matched a rendezvous
@@ -74,10 +75,8 @@ class PtlModule:
     # -- fault handling -------------------------------------------------------
     def mark_peer_dead(self, rank: int) -> None:
         """The path to ``rank`` through this module is gone; stop offering
-        it.  Default: drop the peer wiring if the transport supports it."""
-        remove = getattr(self, "remove_peer", None)
-        if remove is not None:
-            remove(rank)
+        it.  Default: drop the peer wiring."""
+        self.remove_peer(rank)
 
     def matched_duplicate(self, thread, frag, req) -> Generator:
         """A re-sent copy of an already-seen first fragment arrived (PML
@@ -100,6 +99,9 @@ class PtlModule:
         raise NotImplementedError
 
     def has_peer(self, rank: int) -> bool:
+        raise NotImplementedError
+
+    def remove_peer(self, rank: int) -> None:
         raise NotImplementedError
 
     # -- data path ----------------------------------------------------------

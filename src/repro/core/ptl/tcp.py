@@ -38,6 +38,7 @@ from repro.tcpip.socket import Listener, TcpSocket
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.request import RecvRequest, SendRequest
+    from repro.hw.cpu import HostWordEvent
 
 __all__ = ["TcpPtlComponent", "TcpPtlModule"]
 
@@ -95,6 +96,8 @@ class TcpPtlModule(PtlModule):
         )
         self.eager_sends = 0
         self.rndv_sends = 0
+        #: the select loop's stop signal, created by custom_progress_loop
+        self._progress_stop: Optional["HostWordEvent"] = None
 
     # -- connection management -------------------------------------------------
     def _accept_loop(self, thread) -> Generator:
@@ -316,9 +319,8 @@ class TcpPtlModule(PtlModule):
             )
 
     def stop_progress_loop(self) -> None:
-        stop = getattr(self, "_progress_stop", None)
-        if stop is not None:
-            stop.set()
+        if self._progress_stop is not None:
+            self._progress_stop.set()
 
     # -- drain / finalize -----------------------------------------------------------
     def pending(self) -> int:

@@ -16,11 +16,12 @@ Completion must be observable two ways (§3, dual-mode progress):
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ptl.base import PtlModule
     from repro.hw.memory import Buffer
     from repro.sim.core import Simulator
 
@@ -62,6 +63,8 @@ class Request:
         self.transport: Dict[str, Any] = {}
         #: flight-record trace id when observability is on (None otherwise)
         self.obs_tid: Optional[int] = None
+        #: the PML's open-rendezvous key while the transfer is in flight
+        self.rndv_key: Optional[Tuple[int, int, int]] = None
 
     # -- progress ----------------------------------------------------------
     def add_progress(self, nbytes: int) -> bool:
@@ -127,6 +130,8 @@ class SendRequest(Request):
         #: MPI_Ssend semantics: completion requires the receive to have
         #: matched (forces the rendezvous handshake at any size)
         self.sync = False
+        #: the PTL module (rail) carrying the send; failover moves it
+        self.ptl_module: Optional["PtlModule"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

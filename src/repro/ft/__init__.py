@@ -16,7 +16,6 @@ Opt-in per job::
     ft.RecoveryDriver(job, factory)   # ... plus automated respawn
 """
 
-from repro.ft.backoff import JitteredBackoff
 from repro.ft.detector import FT_PORT, FtConfig, FtDaemon, enable
 from repro.ft.errors import CommRevokedError, FtError, RankDeadError
 from repro.ft.membership import DeathRecord, MembershipView
@@ -29,7 +28,6 @@ __all__ = [
     "FtConfig",
     "FtDaemon",
     "FtError",
-    "JitteredBackoff",
     "MembershipView",
     "RankDeadError",
     "RecoveryDriver",

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set
 
-from repro.ft.backoff import JitteredBackoff
 from repro.ft.detector import FtConfig, FtDaemon, enable
 from repro.ft.membership import DeathRecord
 from repro.rte.checkpoint import CheckpointImage, restart_rank
+from repro.sim.backoff import JitteredBackoff
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rte.environment import RteJob

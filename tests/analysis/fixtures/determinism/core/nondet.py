@@ -17,3 +17,12 @@ def jitter():
 def drain(items):
     for item in set(items):  # VIOLATION: set iteration order
         yield item
+
+
+def tie_break(objs):
+    return sorted(objs, key=lambda o: id(o))  # VIOLATION: id-order
+
+
+def arm(sim, fn):
+    handle = sim.schedule_pooled(0.0, fn, ())  # VIOLATION: pool-escape
+    return handle

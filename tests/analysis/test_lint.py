@@ -1,19 +1,34 @@
-"""The determinism linter: each rule fires on its fixture, suppressions
+"""The determinism pass: each rule fires on its fixture, suppressions
 require a justification, exempt modules stay exempt, and the real tree
 under ``src/repro`` lints clean."""
 
+import tempfile
 from pathlib import Path
 
-from repro.analysis.lint import RULES, lint_paths, lint_source, main
+from repro.analysis.engine.check import main
+from repro.analysis.engine.passes import PASS_RUNNERS
+from repro.analysis.engine.project import Project
 
 REPO = Path(__file__).resolve().parents[2]
 
 #: a path that is neither the kernel nor the RNG home
 MODEL_PATH = "src/repro/core/example.py"
 
+DETERMINISM_RULES = ("wallclock", "random", "set-iter", "id-order", "pool-escape")
+
 
 def rules_of(source: str, path: str = MODEL_PATH):
-    return [f.rule for f in lint_source(source, path)]
+    """Run the determinism pass on ``source`` saved at ``path`` in a
+    project rooted at ``src/repro``, so the kernel and RNG-home
+    exemptions see the same module path as in the real tree."""
+    rel = Path(path).relative_to("src/repro")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        file = root / rel
+        file.parent.mkdir(parents=True, exist_ok=True)
+        file.write_text(source, encoding="utf-8")
+        project = Project.load([file], root=root)
+        return [f.rule for f in PASS_RUNNERS["determinism"](project)]
 
 
 # ------------------------------------------------------------- wallclock
@@ -133,7 +148,8 @@ def test_suppression_only_covers_named_rule():
 
 # ------------------------------------------------------------- whole tree
 def test_src_repro_lints_clean():
-    findings = lint_paths([str(REPO / "src" / "repro")])
+    project = Project.load([REPO / "src" / "repro"])
+    findings = PASS_RUNNERS["determinism"](project)
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
@@ -142,11 +158,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("import time\nt = time.time()\n")
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
-    assert main([str(bad)]) == 1
+    assert main([str(bad), "--passes", "determinism"]) == 1
     assert "wallclock" in capsys.readouterr().out
-    assert main([str(good)]) == 0
+    assert main([str(good), "--passes", "determinism"]) == 0
     assert "clean" in capsys.readouterr().out
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in RULES:
+    for rule in DETERMINISM_RULES:
         assert rule in out

@@ -1,9 +1,9 @@
-"""The shared deterministic jittered-backoff helper (repro.ft.backoff)."""
+"""The shared deterministic jittered-backoff helper (repro.sim.backoff)."""
 
 import numpy as np
 import pytest
 
-from repro.ft.backoff import JitteredBackoff
+from repro.sim.backoff import JitteredBackoff
 
 
 def test_validation():
