@@ -47,7 +47,7 @@ def blocked_processes(sanitizer: "Sanitizer") -> List[Any]:
         for p in sanitizer.processes
         if not p.triggered
         and p._waiting_on is not None
-        and not getattr(p, "daemon", False)
+        and not p.daemon
     ]
 
 
@@ -66,6 +66,7 @@ def wait_chain(proc: Any) -> List[Any]:
         chain.append(target)
         if any(target is seen for seen in chain[:-1]):
             return chain  # cycle closed
+        # kept probe: only a Process waits on something; other events end it
         target = getattr(target, "_waiting_on", None)
     return chain
 
@@ -94,9 +95,8 @@ def held_resources(sanitizer: "Sanitizer") -> List[Tuple[str, int, str]]:
                 out.append(
                     ("qslot", taken, f"{node} queue ({ctx:#x}, {queue_id})")
                 )
-        reclaimed = getattr(nic, "reclaimed_ctxs", ())
         for ctx, count in nic._pending.items():
-            if count > 0 and ctx not in reclaimed:
+            if count > 0 and ctx not in nic.reclaimed_ctxs:
                 out.append(("pending-op", count, f"{node} ctx {ctx:#x}"))
         if nic.dma_engines.in_use:
             out.append(("dma-engine", nic.dma_engines.in_use, node))
@@ -112,6 +112,7 @@ def _is_cycle(chain: List[Any]) -> bool:
 
 
 def _describe(obj: Any) -> str:
+    # kept probe: a waiter can be any event or object, named or not
     name = getattr(obj, "name", None)
     label = name if name else type(obj).__name__
     return f"{type(obj).__name__}({label!r})"

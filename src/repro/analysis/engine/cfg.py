@@ -66,6 +66,7 @@ class CfgNode:
         self.exc_succ: List["CfgNode"] = []
         self.pred: List["CfgNode"] = []
 
+    # kept probe (also ``col``): not every AST statement node has a position
     @property
     def line(self) -> int:
         return getattr(self.stmt, "lineno", 0) if self.stmt is not None else 0

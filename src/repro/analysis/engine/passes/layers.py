@@ -86,6 +86,7 @@ def _type_checking_lines(tree: ast.Module) -> Set[int]:
             continue
         for sub in node.body:
             for inner in ast.walk(sub):
+                # kept probe: only some AST node types carry a line number
                 lineno = getattr(inner, "lineno", None)
                 if lineno is not None:
                     lines.add(lineno)

@@ -84,7 +84,7 @@ def _check_pending(sanitizer: "Sanitizer", nic: Any) -> None:
     # contexts torn down uncooperatively by the FT layer (owner died; no
     # drain possible) are accounted-for: their orphaned counts are the
     # *expected* debris of a kill, not a leak
-    reclaimed = getattr(nic, "reclaimed_ctxs", ())
+    reclaimed = nic.reclaimed_ctxs
     for ctx, count in nic._pending.items():
         if count > 0 and ctx not in reclaimed:
             sanitizer.record(

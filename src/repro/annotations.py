@@ -104,6 +104,7 @@ def _register(kind: str, role: str, fn: Callable[..., Any]) -> None:
             f"unknown resource kind {kind!r}; declare it in "
             f"repro.annotations.RESOURCE_KINDS with its owning layer"
         )
+    # kept probe: ``fn`` is any callable; builtins have no code or qualname
     code = getattr(fn, "__code__", None)
     filename = code.co_filename if code is not None else "<builtin>"
     lineno = code.co_firstlineno if code is not None else 0
@@ -122,6 +123,7 @@ def acquires(kind: str) -> Callable[[_F], _F]:
     """
 
     def mark(fn: _F) -> _F:
+        # kept probe: ``fn`` is any function, which may carry earlier tags
         existing = tuple(getattr(fn, "__repro_acquires__", ()))
         fn.__repro_acquires__ = existing + (kind,)  # type: ignore[attr-defined]
         _register(kind, "acquire", fn)
@@ -134,6 +136,7 @@ def releases(kind: str) -> Callable[[_F], _F]:
     """Mark a function as releasing one unit of resource ``kind``."""
 
     def mark(fn: _F) -> _F:
+        # kept probe: ``fn`` is any function, which may carry earlier tags
         existing = tuple(getattr(fn, "__repro_releases__", ()))
         fn.__repro_releases__ = existing + (kind,)  # type: ignore[attr-defined]
         _register(kind, "release", fn)

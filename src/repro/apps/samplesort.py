@@ -55,6 +55,7 @@ def sample_sort_app(
         t_phase = mpi.now
         buckets = np.searchsorted(splitters, keys, side="right")
         chunks = [keys[buckets == dst].tobytes() for dst in range(n)]
+        # no size hint: bucket sizes differ by rank, so no common one exists
         received = yield from mpi.comm_world.alltoall(chunks)
         if on_step is not None:
             on_step(mpi.rank, mpi.now - t_phase)

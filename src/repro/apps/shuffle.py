@@ -49,7 +49,9 @@ def shuffle_app(
                 _block(mpi.rank, dst, rnd, block_per_pair).tobytes()
                 for dst in range(n)
             ]
-            received = yield from mpi.comm_world.alltoall(chunks)
+            received = yield from mpi.comm_world.alltoall(
+                chunks, nbytes=block_per_pair * 8
+            )
             for src, raw in enumerate(received):
                 got = np.frombuffer(raw, dtype=np.int64)
                 assert np.array_equal(

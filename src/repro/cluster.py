@@ -15,7 +15,7 @@ isolated.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ib.fabric import IbFabric
@@ -71,6 +71,9 @@ class Cluster:
         from repro.coll.hw import HwCollRegistry
 
         self.coll_hw = HwCollRegistry(self)
+        #: the fault-tolerance daemon whose membership gates hardware
+        #: collectives, installed by :func:`repro.ft.enable`
+        self.ft: Optional[Any] = None
         #: cluster-wide hardware broadcast queue-id allocator: queue slots
         #: live on shared NICs, so co-resident jobs (each with its own
         #: HwCollRegistry) must draw from one pool or their receivers
@@ -257,6 +260,7 @@ class ClusterLease:
         from repro.coll.hw import HwCollRegistry
 
         self.coll_hw = HwCollRegistry(self)
+        self.ft: Optional[Any] = None
 
     # -- shared physical substrate (delegated) ------------------------------
     @property

@@ -49,15 +49,13 @@ def _gate_hw(comm: Any, alg: Algorithm, seq: int) -> Algorithm:
     the shared per-call decision so every rank agrees."""
     if not alg.hw:
         return alg
-    registry = getattr(_cluster_of(comm), "coll_hw", None)
-    use_hw = registry is not None and registry.shared_for(comm).decide(seq, alg.op)
-    if use_hw:
+    registry = _cluster_of(comm).coll_hw
+    if registry.shared_for(comm).decide(seq, alg.op):
         return alg
-    if registry is not None:
-        registry.hw_fallbacks += 1
-        obs = _cluster_of(comm).observer
-        if obs is not None:
-            obs.count("coll", f"{alg.op}.hw_fallback")
+    registry.hw_fallbacks += 1
+    obs = _cluster_of(comm).observer
+    if obs is not None:
+        obs.count("coll", f"{alg.op}.hw_fallback")
     assert alg.fallback is not None  # enforced at registration
     return registry_get(alg.op, alg.fallback)
 
@@ -68,7 +66,7 @@ def _backend_of(comm: Any) -> Optional[str]:
     healthy PTL modules, so a failed-over rail changes future decisions —
     every rank observes the same failover, so selection stays symmetric."""
     names = set()
-    for module in getattr(comm.stack.pml, "modules", []):
+    for module in comm.stack.pml.modules:
         if not module.healthy:
             continue
         names.add("elan4" if module.name.startswith("elan4") else module.name)
@@ -100,19 +98,13 @@ def _run(
     obs = cluster.observer
     key = ("coll", comm.ctx_id, comm.rank, seq)
     t0 = sim.now
-    if tracer is None:
+    tracer.span_begin(key, f"coll.{op}.{alg.name}")
+    try:
         result = yield from alg.fn(comm, **kwargs)
-    else:
-        # span_begin/end/abandon stay in one branch so every path that
-        # opens the span provably closes it (the lifecycle pass checks
-        # this; correlated `if tracer is not None` guards would hide it)
-        tracer.span_begin(key, f"coll.{op}.{alg.name}")
-        try:
-            result = yield from alg.fn(comm, **kwargs)
-        except BaseException:
-            tracer.abandon(key)
-            raise
-        tracer.span_end(key)
+    except BaseException:
+        tracer.abandon(key)
+        raise
+    tracer.span_end(key)
     if obs is not None:
         obs.count("coll", f"{op}.{alg.name}")
         obs.sample("coll", f"{op}_latency_us", sim.now - t0)
@@ -159,17 +151,16 @@ def allreduce(
 
 
 def alltoall(
-    comm: Any, chunks: Any, max_bytes: int = 1 << 22
+    comm: Any, chunks: Any, max_bytes: int = 1 << 22, nbytes: Optional[int] = None
 ) -> Generator[Any, Any, Any]:
+    """``nbytes`` is a selection hint every rank passes alike (the block
+    size); when omitted, the size-independent table default applies.  Keying
+    on local chunk sizes would split the choice across ranks and deadlock."""
     if chunks is None or len(chunks) != comm.size:
         from repro.mpi.communicator import MpiError
 
         raise MpiError("alltoall needs one chunk per rank")
-    nbytes = max(
-        (len(c) if isinstance(c, (bytes, bytearray)) else np.asarray(c).nbytes)
-        for c in chunks
-    ) if comm.size else 0
-    alg, seq = _select(comm, "alltoall", int(nbytes))
+    alg, seq = _select(comm, "alltoall", nbytes)
     result = yield from _run(
         comm, "alltoall", alg, seq, {"chunks": chunks, "max_bytes": max_bytes}
     )
@@ -201,8 +192,7 @@ def run_named(
     seq = _next_seq(comm)
     alg = registry_get(op, name)
     if alg.hw:
-        registry = getattr(_cluster_of(comm), "coll_hw", None)
-        if registry is None or not registry.shared_for(comm).decide(seq, op):
+        if not _cluster_of(comm).coll_hw.shared_for(comm).decide(seq, op):
             raise CollError(
                 f"hardware algorithm {op}/{name} unavailable "
                 "(fault, dynamic member, or hw disabled)"

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.coll.registry import register
 from repro.elan4.hwbarrier import HwBarrierError, HwBarrierGroup
-from repro.elan4.hwbcast import HWBCAST_QID, HwBcastError, HwBroadcastGroup
+from repro.elan4.hwbcast import HwBcastError, HwBroadcastGroup
 
 __all__ = ["HwCollRegistry", "bcast_hw", "barrier_hw"]
 
@@ -118,7 +118,7 @@ class _SharedCommState:
             return False
         if self.static_failed:
             return False
-        ft = getattr(reg.cluster, "ft", None)
+        ft = reg.cluster.ft
         if ft is not None:
             # a revoked communicator, or one with a dead member, must not
             # arm NIC engines that wait on tokens from a corpse — stay on
@@ -157,7 +157,10 @@ class _SharedCommState:
 
     def _ensure_groups(self, op: str, ctxs: List[Any]) -> None:
         if op == "bcast" and self.bcast_group is None:
-            group = HwBroadcastGroup(ctxs, queue_id=self.registry.alloc_queue_id())
+            # one queue per group (a context may sit in several groups),
+            # drawn from the pool shared by every lease on these NICs
+            qid = self.registry.cluster.alloc_hw_queue_id()
+            group = HwBroadcastGroup(ctxs, queue_id=qid)
             group.install_receivers()
             self.bcast_group = group
         elif op == "barrier" and self.barrier_group is None:
@@ -211,7 +214,6 @@ class HwCollRegistry:
         self._rank_ctx: Dict[int, Any] = {}
         self._world_seen: Dict[int, bool] = {}
         self._shared: Dict[Tuple[int, Tuple[int, ...]], _SharedCommState] = {}
-        self._next_queue_id = HWBCAST_QID
         #: collectives that chose a software fallback while a hw algorithm
         #: was selected (fault, dynamic member, disabled)
         self.hw_fallbacks = 0
@@ -236,19 +238,6 @@ class HwCollRegistry:
     def ctx_of(self, rank: int) -> Optional[Any]:
         return self._rank_ctx.get(rank)
 
-    def alloc_queue_id(self) -> int:
-        """Distinct broadcast queue id per group (a context may belong to
-        several communicators, each with its own queue).  Queue slots live
-        on the shared NICs, so when the cluster exposes a cluster-wide
-        allocator (co-resident leases each carry their own registry) the
-        ids are drawn from that single pool."""
-        alloc = getattr(self.cluster, "alloc_hw_queue_id", None)
-        if alloc is not None:
-            return int(alloc())
-        qid = self._next_queue_id
-        self._next_queue_id += 1
-        return qid
-
     def hw_allowed(self) -> bool:
         if not self.enabled or not self.cluster.config.coll_hw_enabled:
             return False
@@ -270,7 +259,7 @@ def _registry_of(comm: Any) -> HwCollRegistry:
 def _ft_guard(comm: Any, state: _SharedCommState) -> Any:
     """The communicator's FT state (abortable waits), or None when the
     fault-tolerance subsystem is not enabled for this job."""
-    ft = getattr(comm.stack.process.job, "ft", None)
+    ft = comm.stack.process.job.ft
     if ft is None:
         return None
     return ft.comm_state(state.ctx_id, state.ranks)

@@ -41,7 +41,7 @@ class ProgressDriver:
         mode = self.pml.progress_mode
         node = self.pml.process.node
         for module in self.pml.modules:
-            if hasattr(module, "custom_progress_loop"):
+            if module.custom_progress_loop is not None:
                 # e.g. PTL/TCP: one select-style thread over all sockets
                 if mode != "one-thread":
                     raise ValueError(
@@ -91,7 +91,7 @@ class ProgressDriver:
             while not self._stopping:
                 module.arm_blocking(word)
                 yield from thread.block_on(word)
-                module.disarm_blocking(word)
+                module.arm_blocking(word, armed=False)
                 if self._stopping:
                     return
                 self.wakeups += 1
@@ -146,17 +146,10 @@ class ProgressDriver:
         """Wake every progress thread into orderly exit."""
         self._stopping = True
         for module in self.pml.modules:
-            stop_loop = getattr(module, "stop_progress_loop", None)
-            if stop_loop is not None:
-                stop_loop()
-                continue
-            for word in module.blocking_sources():
-                word.set()
+            module.stop_progress_loop()
         for t in self.threads:
             yield from thread.wait_sim_event(t.join_event())
         for module in self.pml.modules:
-            if hasattr(module, "custom_progress_loop"):
-                continue
             for word in module.blocking_sources():
                 word.clear()
 

@@ -84,16 +84,10 @@ class Pml:
         #: open rendezvous receives by (ctx_id, src_rank, seq) — consulted
         #: when a duplicate RNDV arrives so failover can re-run the protocol
         self._active_rndv: Dict[Tuple[int, int, int], RecvRequest] = {}
-        try:
-            self.tracer = process.job.cluster.tracer
-        except AttributeError:
-            self.tracer = None
+        self.tracer = process.job.cluster.tracer
         # the cluster-wide observer (None unless REPRO_OBS/capture): flight
         # records begin here at schedule time and complete in recv_progress
-        try:
-            self.obs = process.job.cluster.observer
-        except AttributeError:
-            self.obs = None
+        self.obs = process.job.cluster.observer
 
     # -- stack assembly ------------------------------------------------------
     def add_module(self, module: "PtlModule") -> None:
@@ -247,8 +241,7 @@ class Pml:
         """A replayed first fragment whose sequence was already consumed."""
         hdr = frag.header
         self.matching.duplicates_dropped += 1
-        if self.tracer is not None:
-            self.tracer.count("pml.duplicate_fragment")
+        self.tracer.count("pml.duplicate_fragment")
         if self.matching.replace_unexpected(frag):
             # the original is still queued unmatched: the fresh copy (with
             # live transport state) replaces it, nothing else to do
@@ -274,9 +267,7 @@ class Pml:
             yield from self.datatype.unpack(thread, req.buffer, frag.data, inline)
             # data movement is transport cost, not management cost: tell the
             # PTL so the §6.3 layer decomposition attributes it correctly
-            note = getattr(frag.ptl, "note_copy_time", None)
-            if note is not None:
-                note(self.sim.now - t0)
+            frag.ptl.note_copy_time(self.sim.now - t0)
         if self.obs is not None:
             self.obs.flight_span(
                 req.obs_tid,
@@ -344,8 +335,7 @@ class Pml:
         Move the peer's in-flight traffic to a surviving PTL; with none
         left, fail exactly that peer's requests."""
         module.mark_peer_dead(rank)
-        if self.tracer is not None:
-            self.tracer.count("pml.peer_report")
+        self.tracer.count("pml.peer_report")
         if self.obs is not None:
             self.obs.count("faults", "pml.peer_report")
             self.obs.instant(
@@ -362,21 +352,18 @@ class Pml:
         if not module.healthy:
             return
         module.healthy = False
-        if self.tracer is not None:
-            self.tracer.count("pml.rail_down")
+        self.tracer.count("pml.rail_down")
         if self.obs is not None:
             self.obs.count("faults", "pml.rail_down")
             self.obs.instant(
                 "faults", "rail_down", node=self.process.node.node_id
             )
-        peers = list(getattr(module, "peers", {}) or [])
-        self._reschedule_failed(module, error, peers)
+        self._reschedule_failed(module, error, list(module.peers))
 
     def _reschedule_failed(self, module, error, ranks) -> None:
         plan = []
         for rank in ranks:
-            takeover = getattr(module, "takeover_payloads", None)
-            payloads, skipped = takeover(rank) if takeover is not None else ([], 0)
+            payloads, skipped = module.takeover_payloads(rank)
             reqs = [
                 r
                 for r in self.requests.values()
@@ -391,20 +378,18 @@ class Pml:
                 survivor = None
             if survivor is None:
                 self.dead_peers[rank] = error
-                if self.tracer is not None:
-                    self.tracer.count("pml.peer_dead")
-                    self.tracer.count("pml.failover_dropped_payloads", len(payloads))
+                self.tracer.count("pml.peer_dead")
+                self.tracer.count("pml.failover_dropped_payloads", len(payloads))
                 self._fail_peer_requests(rank, error)
                 # fast local evidence for the failure detector: our whole
                 # retransmission budget died against this peer
-                ft = getattr(self.process.job, "ft", None)
+                ft = self.process.job.ft
                 if ft is not None:
                     ft.evidence(self.process.rank, rank, error)
                 continue
             if payloads or skipped or reqs:
                 self.failovers += 1
-                if self.tracer is not None:
-                    self.tracer.count("pml.failover")
+                self.tracer.count("pml.failover")
                 if self.obs is not None:
                     self.obs.count("faults", "pml.failover")
             plan.append((survivor, rank, payloads, reqs))
@@ -423,8 +408,7 @@ class Pml:
                 except PtlError:
                     # transport cannot carry foreign fragments (e.g. TCP as
                     # the only survivor of an Elan4 rail): accounted loss
-                    if self.tracer is not None:
-                        self.tracer.count("pml.failover_dropped_payloads")
+                    self.tracer.count("pml.failover_dropped_payloads")
             # 2) re-run the first-fragment protocol for open send requests
             #    (rendezvous state is rail-local: start them over)
             for req in reqs:
@@ -470,12 +454,10 @@ class Pml:
             return
         self.dead_peers[rank] = error
         for m in self.modules:
-            takeover = getattr(m, "takeover_payloads", None)
-            if takeover is not None:
-                takeover(rank)  # the peer is gone for good: drop, don't replay
+            # the peer is gone for good: drop its payloads, don't replay
+            m.takeover_payloads(rank)
             m.mark_peer_dead(rank)
-        if self.tracer is not None:
-            self.tracer.count("pml.peer_poisoned")
+        self.tracer.count("pml.peer_poisoned")
         if self.obs is not None:
             self.obs.count("faults", "pml.peer_poisoned")
             self.obs.instant(
@@ -492,8 +474,7 @@ class Pml:
         if ctx_id in self.revoked_ctxs:
             return
         self.revoked_ctxs[ctx_id] = error
-        if self.tracer is not None:
-            self.tracer.count("pml.ctx_revoked")
+        self.tracer.count("pml.ctx_revoked")
         for req in list(self.requests.values()):
             if req.completed or req.ctx_id != ctx_id:
                 continue

@@ -16,11 +16,12 @@ transports join and leave at run time (the fault-tolerance requirement of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pml.teg import Pml
     from repro.core.request import RecvRequest, SendRequest
+    from repro.hw.cpu import HostWordEvent
 
 __all__ = ["PtlComponent", "PtlModule", "PtlRegistry", "PtlError"]
 
@@ -32,28 +33,52 @@ class PtlError(Exception):
 class PtlModule:
     """One communication endpoint of a component (≈ one NIC).
 
-    Concrete transports implement:
+    The whole PML↔PTL contract: every hook used from outside a transport
+    is declared here and called directly.  Hooks with no default raise
+    ``NotImplementedError``.  Called by the PML (and MPI wire-up):
 
     * ``local_info()`` — contact info published to the RTE registry;
-    * ``add_peer(thread, rank, info)`` — wire up one peer;
-    * ``remove_peer(rank)`` — drop one peer's wiring;
+    * ``add_peer(thread, rank, info)`` — wire up one peer into ``peers``;
+      ``has_peer(rank)``; ``remove_peer(rank)`` (default: pop it);
     * ``send_first(thread, req)`` — transmit the first fragment (eager
       MATCH or RNDV), per the PML's scheduling decision;
     * ``matched(thread, recv_req, frag)`` — the PML matched a rendezvous
       fragment to a posted receive: run the transport's long-message
       protocol (ACK + RDMA-write, or RDMA-read + FIN_ACK, or streamed
-      FRAGs);
+      FRAGs); ``matched_duplicate`` — a replayed one (default: ignore);
+    * ``note_copy_time(dt)`` — the PML spent ``dt`` unpacking this
+      module's inline data (§6.3 layer split; default: no-op);
     * ``progress(thread)`` — advance incoming traffic and local
       completions; returns the number of events handled;
     * ``wait_signal()`` — an event completing when *something* may have
       happened (used to sleep efficiently instead of spinning);
+    * ``block_wait(thread, req)`` — interrupt-mode wait (§6.4);
     * ``pending()`` — in-flight operations (drain accounting);
     * ``finalize(thread)`` — complete pending traffic and release
-      resources (§4.1 drain semantics).
+      resources (§4.1 drain semantics);
+    * failover (§3): ``mark_peer_dead(rank)``, ``takeover_payloads(rank)``
+      (unacked fragments to replay; default ``([], 0)``) and
+      ``resend_payload(thread, rank, payload)``.
+
+    Called by the progress driver: ``blocking_sources()`` (host-event
+    words a progress thread blocks on; default none), ``arm_blocking(word,
+    armed=True)`` (interrupt delivery on or off), ``progress_from(thread,
+    word)`` (drain ``word``'s queue), ``custom_progress_loop`` (a
+    transport's own thread body, TCP's select loop; ``None`` blocks on the
+    words) and ``stop_progress_loop()`` (default: set every word).
+
+    Called by FT: ``reclaim()`` — the owner was killed; release what the
+    NIC holds for it without a drain (default: nothing).  Called by the
+    fault injector: ``nic`` — the NIC this module drives (``None`` for
+    TCP), matched against rail and port faults; ``recovery_stats()`` —
+    counters for campaign reports (default ``{}``).
     """
 
     #: transport name, e.g. "elan4" or "tcp"
     name: str = "abstract"
+
+    #: ``(thread, stopping, on_handled) -> Generator``, or None
+    custom_progress_loop: Optional[Callable[..., Generator]] = None
 
     def __init__(self, component: "PtlComponent"):
         self.component = component
@@ -61,6 +86,10 @@ class PtlModule:
         self.config = component.config
         self.sim = component.sim
         self.pml: Optional["Pml"] = None
+        #: wired peers: rank -> transport-specific endpoint state
+        self.peers: Dict[int, Any] = {}
+        #: the NIC this module drives; ``None`` for transports without one
+        self.nic: Any = None
         #: largest payload this module accepts in a first fragment — the
         #: "exposed fragment length" the PML schedules by (§6.1)
         self.first_frag_capacity: int = 0
@@ -91,6 +120,15 @@ class PtlModule:
         raise PtlError(f"{self.name}: cannot replay foreign fragments")
         yield  # pragma: no cover
 
+    def takeover_payloads(self, rank: int) -> Tuple[List[Any], int]:
+        return [], 0
+
+    def reclaim(self) -> None:
+        pass
+
+    def recovery_stats(self) -> Dict[str, int]:
+        return {}
+
     # -- identity ------------------------------------------------------------
     def local_info(self) -> Dict[str, Any]:
         raise NotImplementedError
@@ -99,10 +137,10 @@ class PtlModule:
         raise NotImplementedError
 
     def has_peer(self, rank: int) -> bool:
-        raise NotImplementedError
+        return rank in self.peers
 
     def remove_peer(self, rank: int) -> None:
-        raise NotImplementedError
+        self.peers.pop(rank, None)
 
     # -- data path ----------------------------------------------------------
     def send_first(self, thread, req: "SendRequest") -> Generator:
@@ -111,11 +149,28 @@ class PtlModule:
     def matched(self, thread, recv_req: "RecvRequest", frag) -> Generator:
         raise NotImplementedError
 
+    def note_copy_time(self, dt: float) -> None:
+        pass
+
     def progress(self, thread) -> Generator:
         raise NotImplementedError
 
     def wait_signal(self):
         raise NotImplementedError
+
+    # -- threaded progress (driven by repro.core.pml.progress) ----------------
+    def blocking_sources(self) -> List["HostWordEvent"]:
+        return []
+
+    def arm_blocking(self, word: "HostWordEvent", armed: bool = True) -> None:
+        raise NotImplementedError
+
+    def progress_from(self, thread, word: "HostWordEvent") -> Generator:
+        raise NotImplementedError
+
+    def stop_progress_loop(self) -> None:
+        for word in self.blocking_sources():
+            word.set()
 
     def block_wait(self, thread, req) -> Generator:
         """Interrupt-mode wait: block *inside this PTL* until ``req``

@@ -138,11 +138,13 @@ class Elan4PtlModule(PtlModule):
     """One endpoint on one Elan4 NIC."""
 
     name = "elan4"
+    peers: Dict[int, int]  # rank -> vpid
 
     def __init__(self, component: Elan4PtlComponent, ctx):
         super().__init__(component)
         self.options = component.options
         self.ctx = ctx
+        self.nic = ctx.nic
         self.rail = component.rail
         if self.rail:
             self.name = f"elan4:{self.rail}"
@@ -166,7 +168,6 @@ class Elan4PtlModule(PtlModule):
             self._send_bufs.put(
                 self.process.space.alloc(self.config.qslot_bytes, label=f"sendbuf{i}")
             )
-        self.peers: Dict[int, int] = {}  # rank -> vpid
         #: vpids of peers marked dead — the rank->vpid mapping survives
         #: removal so the failover takeover can still harvest their state
         self._dead_vpids: Dict[int, int] = {}
@@ -184,10 +185,7 @@ class Elan4PtlModule(PtlModule):
         self._delivered_at: Optional[float] = None
         self._copy_in_window: float = 0.0
         # cluster-wide observer (None unless REPRO_OBS/capture is active)
-        try:
-            self.obs = component.process.job.cluster.observer
-        except AttributeError:
-            self.obs = None
+        self.obs = component.process.job.cluster.observer
         self._obs_node = component.process.node.node_id
 
     # -- identity / wiring ---------------------------------------------------
@@ -205,12 +203,6 @@ class Elan4PtlModule(PtlModule):
         # a re-added peer is a fresh incarnation: forget the dead VPID
         self._dead_vpids.pop(rank, None)
         yield self.sim.timeout(0)
-
-    def remove_peer(self, rank: int) -> None:
-        self.peers.pop(rank, None)
-
-    def has_peer(self, rank: int) -> bool:
-        return rank in self.peers
 
     def vpid_of(self, rank: int) -> int:
         vpid = self.peers.get(rank)
@@ -444,6 +436,26 @@ class Elan4PtlModule(PtlModule):
             return [], 0
         return self.reliable.takeover(vpid)
 
+    def reclaim(self) -> None:
+        """Close the reliability channel and reclaim the hardware context
+        without a drain (the owner was killed)."""
+        if self.reliable is not None:
+            self.reliable.close()
+        self.ctx.reclaim()
+
+    def recovery_stats(self) -> Dict[str, int]:
+        stats = {"rdma_retries": self.rdma_retries,
+                 "stale_controls": self.stale_controls}
+        ch = self.reliable
+        if ch is not None:
+            stats.update(
+                retransmissions=ch.retransmissions,
+                duplicates_dropped=ch.duplicates_dropped,
+                window_drops=ch.window_drops,
+                abandoned_fragments=ch.abandoned_fragments,
+            )
+        return stats
+
     def resend_payload(self, thread, rank: int, payload: np.ndarray) -> Generator:
         """Replay a fragment harvested from a failed module.  Only frames
         without rail-local E4 state are replayable (the PML filters)."""
@@ -560,9 +572,6 @@ class Elan4PtlModule(PtlModule):
             self.compl_queue.arm_interrupt(armed)
         elif word is self.recv_queue.host_event:
             self.recv_queue.arm_interrupt(armed)
-
-    def disarm_blocking(self, word) -> None:
-        self.arm_blocking(word, armed=False)
 
     def block_wait(self, thread, req) -> Generator:
         """Interrupt-mode wait (§6.4): block once — interrupt-armed — until

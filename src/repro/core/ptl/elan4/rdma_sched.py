@@ -246,8 +246,7 @@ def receiver_matched(
             return
         state["retries"] += 1
         module.rdma_retries += 1
-        if module.pml.tracer is not None:
-            module.pml.tracer.count("ptl.rdma_retry")
+        module.pml.tracer.count("ptl.rdma_retry")
         if module.obs is not None:
             module.obs.count("faults", "ptl.rdma_retry")
             module.obs.flight_instant(

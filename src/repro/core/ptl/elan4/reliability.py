@@ -82,13 +82,9 @@ class ReliableChannel:
         self.failed_peers: Dict[int, ReliabilityError] = {}
         # deterministic jitter: a named substream keyed on rank/rail so
         # adding channels elsewhere never perturbs this one
-        try:
-            streams = module.process.job.cluster.rng
-            self._jitter_rng = streams.stream(
-                f"reliable:{module.name}:{module.process.rank}"
-            )
-        except AttributeError:
-            self._jitter_rng = np.random.default_rng(12345)
+        self._jitter_rng = module.process.job.cluster.rng.stream(
+            f"reliable:{module.name}:{module.process.rank}"
+        )
         # retry pacing through the shared seeded helper (repro.sim.backoff):
         # exponential backoff with multiplicative jitter, so a congested or
         # stalled peer is not hammered at a fixed cadence and many senders'
@@ -183,7 +179,7 @@ class ReliableChannel:
             if timer is not None:
                 timer.cancel()
             hdr = None
-            if getattr(payload, "nbytes", 0) >= HEADER_BYTES:
+            if payload.nbytes >= HEADER_BYTES:
                 hdr = FragmentHeader.decode(payload[:HEADER_BYTES].tobytes())
             if hdr is not None and hdr.e4 is None:
                 replayable.append(payload)

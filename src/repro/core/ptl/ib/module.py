@@ -82,6 +82,7 @@ class IbPtlModule(PtlModule):
     """One PTL/IB endpoint (one HCA port)."""
 
     name = "ib"
+    peers: Dict[int, _IbPeer]
 
     def __init__(self, component: IbPtlComponent):
         super().__init__(component)
@@ -95,7 +96,6 @@ class IbPtlModule(PtlModule):
             self.config.link_us_per_byte / self.config.ib_link_us_per_byte
         )
         self.cq = self.nic.create_cq(name=f"ibcq-r{self.process.rank}")
-        self.peers: Dict[int, _IbPeer] = {}
         self._qp_peer: Dict[int, int] = {}  # my qpn -> peer rank
         #: wr_id -> ("eager"|"rndv"|"ctl", req_or_None, peer_rank)
         self._send_ops: Dict[int, tuple] = {}
@@ -107,10 +107,7 @@ class IbPtlModule(PtlModule):
         self.rndv_sends = 0
         self.fastpath_sends = 0
         self.channel_sends = 0
-        try:
-            self.obs = component.process.job.cluster.observer
-        except AttributeError:
-            self.obs = None
+        self.obs = component.process.job.cluster.observer
         self.nic.obs = self.obs
         self._obs_node = self.process.node.node_id
 
@@ -142,9 +139,6 @@ class IbPtlModule(PtlModule):
         qp.connect(info["ib_node"], remote["qpn"])
         peer.tx_rkey = remote["rkey"]
         peer.tx_credits = remote["slots"]
-
-    def has_peer(self, rank: int) -> bool:
-        return rank in self.peers
 
     def remove_peer(self, rank: int) -> None:
         peer = self.peers.pop(rank, None)
@@ -405,13 +399,7 @@ class IbPtlModule(PtlModule):
     # -- progress -------------------------------------------------------------
     def progress(self, thread) -> Generator:
         yield from thread.compute(self.config.poll_check_us)
-        handled = 0
-        while True:
-            cqe = self.cq.poll()
-            if cqe is None:
-                return handled
-            handled += 1
-            yield from self._handle_cqe(thread, cqe)
+        return (yield from self.progress_from(thread, self.cq.host_event))
 
     def progress_from(self, thread, word) -> Generator:
         handled = 0
@@ -431,9 +419,6 @@ class IbPtlModule(PtlModule):
     def arm_blocking(self, word, armed: bool = True) -> None:
         if word is self.cq.host_event:
             self.cq.armed = armed
-
-    def disarm_blocking(self, word) -> None:
-        self.arm_blocking(word, armed=False)
 
     # -- drain / finalize -------------------------------------------------------
     def pending(self) -> int:

@@ -18,7 +18,7 @@ offset.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Dict, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class TcpPtlComponent(PtlComponent):
 
     name = "tcp"
 
-    def __init__(self, process, config):
-        super().__init__(process, config)
-        if getattr(process.job, "net", None) is None:
-            raise PtlError("tcp PTL needs the job's IP network")
-
     def _init_impl(self, thread) -> Generator:
         yield self.sim.timeout(0)
         return [TcpPtlModule(self)]
@@ -80,6 +75,7 @@ class TcpPtlModule(PtlModule):
     """One PTL/TCP endpoint."""
 
     name = "tcp"
+    peers: Dict[int, _PeerState]
 
     def __init__(self, component: TcpPtlComponent):
         super().__init__(component)
@@ -89,7 +85,6 @@ class TcpPtlModule(PtlModule):
         self.net = self.process.job.net
         self.port = TCP_PTL_PORT + self.process.rank
         self.listener = Listener(self.net, self.process.node, self.port)
-        self.peers: Dict[int, _PeerState] = {}
         self._accepting = True
         self.process.node.spawn_thread(
             self._accept_loop, name=f"tcp-accept{self.port}", daemon=True
@@ -125,9 +120,6 @@ class TcpPtlModule(PtlModule):
             # the lower rank dials us; wait until the accept loop records it
             while rank not in self.peers:
                 yield from thread.sleep(5.0)
-
-    def has_peer(self, rank: int) -> bool:
-        return rank in self.peers
 
     def remove_peer(self, rank: int) -> None:
         peer = self.peers.pop(rank, None)
@@ -292,12 +284,6 @@ class TcpPtlModule(PtlModule):
         signals = [p.sock.readable.wait_event() for p in self.peers.values()]
         signals.append(self.listener.acceptable.wait_event())
         return AnyOf(self.sim, signals)
-
-    def blocking_sources(self) -> List:
-        raise PtlError(
-            "tcp: no per-queue event words — TCP progress blocks in "
-            "poll/select over its descriptors (custom_progress_loop)"
-        )
 
     def custom_progress_loop(self, thread, stopping, on_handled) -> Generator:
         """The §4.3 TCP property: "one thread can block and wait on the

@@ -234,15 +234,12 @@ class HwBarrierGroup:
             handlers = nic._dispatch
             if "hwbarrier" not in handlers:
                 handlers["hwbarrier"] = _make_node_handler(nic)
-            registry = getattr(nic, "_hwbarrier_groups", None)
-            if registry is None:
-                registry = nic._hwbarrier_groups = {}
-            registry[self.group_id] = self
+            nic.hwbarrier_groups[self.group_id] = self
 
 
 def _make_node_handler(nic: "Elan4Nic"):
     def handle(pkt: Packet) -> None:
-        group = getattr(nic, "_hwbarrier_groups", {}).get(pkt.meta["group"])
+        group = nic.hwbarrier_groups.get(pkt.meta["group"])
         if group is None:
             nic.drop_packet(
                 pkt, reason=f"hwbarrier for unknown group {pkt.meta['group']}"

@@ -137,15 +137,12 @@ class HwBroadcastGroup:
             handlers = nic._dispatch
             if "hwbcast" not in handlers:
                 handlers["hwbcast"] = _make_node_handler(nic)
-            registry = getattr(nic, "_hwbcast_groups", None)
-            if registry is None:
-                registry = nic._hwbcast_groups = {}
-            registry.setdefault(self.group_id, []).extend(ctxs)
+            nic.hwbcast_groups.setdefault(self.group_id, []).extend(ctxs)
 
 
 def _make_node_handler(nic):
     def handle(pkt: Packet) -> None:
-        ctxs = getattr(nic, "_hwbcast_groups", {}).get(pkt.meta["group"], [])
+        ctxs = nic.hwbcast_groups.get(pkt.meta["group"], [])
         if not ctxs:
             nic.drop_packet(pkt, reason=f"hwbcast for unknown group {pkt.meta['group']}")
             return

@@ -37,6 +37,7 @@ from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import MachineConfig
+    from repro.elan4.hwbarrier import HwBarrierGroup
     from repro.hw.memory import AddressSpace, Buffer
     from repro.hw.node import Node
     from repro.sim.core import Simulator
@@ -85,6 +86,10 @@ class Elan4Nic:
         #: contexts torn down *uncooperatively* (owner died; no drain) —
         #: their leftover pending ops are accounted-for, not leaked
         self.reclaimed_ctxs: Set[int] = set()
+        #: hardware collective groups with members on this card, by group
+        #: id: broadcast -> member contexts, barrier -> the group
+        self.hwbcast_groups: Dict[int, List["Elan4Context"]] = {}
+        self.hwbarrier_groups: Dict[int, "HwBarrierGroup"] = {}
         self.dropped: List[tuple] = []
         self.chains_run = 0
         self.stalled = False

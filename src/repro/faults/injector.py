@@ -42,16 +42,15 @@ class FaultInjector:
 
     # -- application ---------------------------------------------------------
     def _apply(self, event: FaultEvent, index: int) -> None:
+        # kept probe: dispatch on the plan's event kind (``_do_{kind}``)
         handler = getattr(self, f"_do_{event.kind}")
         handler(event, index)
         self._note(event.kind, event.describe())
 
     def _note(self, kind: str, text: str) -> None:
         self.trace.append((self.sim.now, kind, text))
-        tracer = getattr(self.cluster, "tracer", None)
-        if tracer is not None:
-            tracer.count(f"fault.{kind}")
-        obs = getattr(self.cluster, "observer", None)
+        self.cluster.tracer.count(f"fault.{kind}")
+        obs = self.cluster.observer
         if obs is not None:
             obs.count("faults", kind)
             obs.instant("faults", kind, detail=text)
@@ -107,15 +106,7 @@ class FaultInjector:
         # the NIC driver diagnoses the dead rail; the PML reroutes traffic
         error = PtlError(f"elan4 rail {event.rail} is down (fabric fault)")
         for proc in self.job.processes.values():
-            pml = getattr(getattr(proc, "stack", None), "pml", None)
-            if pml is None:
-                continue
-            for module in pml.modules:
-                if (
-                    module.name.startswith("elan4")
-                    and getattr(module, "rail", None) == event.rail
-                ):
-                    pml.rail_failed(module, error)
+            self._fail_rail(proc, self.cluster.rail_nics[event.rail], error)
 
     def _do_proc_kill(self, event: FaultEvent, index: int) -> None:
         if self.job is None:
@@ -124,7 +115,7 @@ class FaultInjector:
         proc = self.job.processes.get(rank)
         if proc is None or proc.finished:
             return  # already gone — killing a corpse is a no-op
-        ft = getattr(self.job, "ft", None)
+        ft = self.job.ft
         if ft is not None:
             # ground truth for the detection-latency metric: the daemon can
             # only *observe* the death later, via heartbeat silence
@@ -132,13 +123,14 @@ class FaultInjector:
         proc.kill(cause=f"fault campaign {self.plan.name!r}")
 
     def _ib_fabric(self, event: FaultEvent):
-        fabrics = getattr(self.cluster, "ib_fabrics", [])
+        fabrics = self.cluster.ib_fabrics
         if event.rail >= len(fabrics):
             raise RuntimeError(f"no ib rail {event.rail} on this cluster")
         return fabrics[event.rail]
 
     def _do_ib_port_down(self, event: FaultEvent, index: int) -> None:
-        nic = self.cluster.ib_nics[event.rail][event.target]
+        nics = self.cluster.ib_nics[event.rail]
+        nic = nics[event.target]
         nic.set_port_down(True)
         if event.duration_us > 0:
             def restore() -> None:
@@ -150,14 +142,17 @@ class FaultInjector:
         # the HCA driver on that node sees the dead port; its PML reroutes
         error = PtlError(f"ib port on node {event.target} is down")
         for proc in self.job.processes.values():
-            if proc.node.node_id != event.target:
-                continue
-            pml = getattr(getattr(proc, "stack", None), "pml", None)
-            if pml is None:
-                continue
-            for module in pml.modules:
-                if module.name == "ib" and getattr(module, "nic", None) is nic:
-                    pml.rail_failed(module, error)
+            if proc.node.node_id == event.target:
+                self._fail_rail(proc, nics, error)
+
+    def _fail_rail(self, proc, nics, error: PtlError) -> None:
+        """Fail over every module of ``proc`` that drives its node's NIC in
+        ``nics`` (one rail's NICs, indexed by node id)."""
+        pml = proc.stack.pml
+        nic = nics[proc.node.node_id]
+        for module in pml.modules:
+            if module.nic is nic:
+                pml.rail_failed(module, error)
 
     def _do_pfc_storm(self, event: FaultEvent, index: int) -> None:
         fabric = self._ib_fabric(event)
@@ -200,26 +195,16 @@ class FaultInjector:
         }
         if self.job is not None:
             for proc in self.job.processes.values():
-                pml = getattr(getattr(proc, "stack", None), "pml", None)
-                if pml is None:
-                    continue
+                pml = proc.stack.pml
                 out["failovers"] += pml.failovers
                 out["dead_peers"] += len(pml.dead_peers)
                 out["duplicates_dropped"] += pml.matching.duplicates_dropped
                 for module in pml.modules:
-                    out["rdma_retries"] += getattr(module, "rdma_retries", 0)
-                    out["stale_controls"] += getattr(module, "stale_controls", 0)
-                    ch = getattr(module, "reliable", None)
-                    if ch is not None:
-                        out["retransmissions"] += ch.retransmissions
-                        out["duplicates_dropped"] += ch.duplicates_dropped
-                        out["window_drops"] += ch.window_drops
-                        out["abandoned_fragments"] += ch.abandoned_fragments
-        tracer = getattr(self.cluster, "tracer", None)
-        if tracer is not None:
-            out["tracer"] = {
-                k: v
-                for k, v in sorted(tracer.counters.items())
-                if k.startswith(("fault.", "fabric.", "pml.", "ptl."))
-            }
+                    for key, value in module.recovery_stats().items():
+                        out[key] += value
+        out["tracer"] = {
+            k: v
+            for k, v in sorted(self.cluster.tracer.counters.items())
+            if k.startswith(("fault.", "fabric.", "pml.", "ptl."))
+        }
         return out

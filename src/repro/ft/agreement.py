@@ -146,9 +146,7 @@ class FtCommState:
         proc = self.daemon.job.processes.get(rank)
         if proc is None or proc.finished:
             return
-        pml = getattr(proc.stack, "pml", None)
-        if pml is not None:
-            pml.poison_ctx(self.ctx_id, err)
+        proc.stack.pml.poison_ctx(self.ctx_id, err)
 
     # -- agreement -----------------------------------------------------
     def _slot_for(self, rank: int, purpose: str) -> _AgreeSlot:

@@ -266,9 +266,7 @@ class FtDaemon:
         proc = self.job.processes.get(survivor)
         if proc is None or proc.finished:
             return
-        pml = getattr(proc.stack, "pml", None)
-        if pml is not None:
-            pml.poison_peer(dead_rank, error)
+        proc.stack.pml.poison_peer(dead_rank, error)
 
     # -- uncooperative resource reclaim (§4.1) --------------------------
     def _reclaim(self, rank: int) -> None:
@@ -276,15 +274,8 @@ class FtDaemon:
             return
         proc = self._dead_procs.get(rank)
         if proc is not None:
-            pml = getattr(proc.stack, "pml", None)
-            if pml is not None:
-                for m in pml.modules:
-                    reliable = getattr(m, "reliable", None)
-                    if reliable is not None:
-                        reliable.close()
-                    ctx = getattr(m, "ctx", None)
-                    if ctx is not None and hasattr(ctx, "reclaim"):
-                        ctx.reclaim()
+            for m in proc.stack.pml.modules:
+                m.reclaim()
         self._reclaimed.add(rank)
         rec = self.membership.record(rank)
         if rec is not None:
@@ -335,7 +326,7 @@ class FtDaemon:
 def enable(job: "RteJob", config: Optional[FtConfig] = None) -> FtDaemon:
     """Switch fault tolerance on for ``job`` (idempotent).  Must run
     before ranks launch so they are monitored from startup."""
-    ft = getattr(job, "ft", None)
+    ft = job.ft
     if ft is None:
         ft = FtDaemon(job, config)
         job.ft = ft

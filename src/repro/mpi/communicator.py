@@ -266,10 +266,14 @@ class Communicator:
 
         return (yield from collective.allgather(self, data, max_bytes))
 
-    def alltoall(self, chunks, max_bytes: int = 1 << 22) -> Generator:
+    def alltoall(
+        self, chunks, max_bytes: int = 1 << 22, nbytes: Optional[int] = None
+    ) -> Generator:
         from repro.coll import framework  # repro-lint: allow[layering] -- MPI fronts the separate coll component (§2.1); lazy to break the cycle
 
-        return (yield from framework.alltoall(self, chunks, max_bytes=max_bytes))
+        return (yield from framework.alltoall(
+            self, chunks, max_bytes=max_bytes, nbytes=nbytes
+        ))
 
     def scan(self, array: np.ndarray, op: str = "sum") -> Generator:
         from repro.mpi import collective
@@ -288,7 +292,7 @@ class Communicator:
 
     # -- fault tolerance (ULFM-style, §3's process fault tolerance) -------------------
     def _ft_daemon(self):
-        ft = getattr(self.stack.process.job, "ft", None)
+        ft = self.stack.process.job.ft
         if ft is None:
             raise MpiError(
                 "fault tolerance is not enabled for this job — call "

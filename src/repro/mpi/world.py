@@ -84,16 +84,14 @@ class MpiStack:
         # collective any rank runs already sees a sealed cohort.  Later
         # (re)registrations are the dynamic joiners that §4.1 excludes
         # from hardware collectives.
-        coll_hw = getattr(self.process.job.cluster, "coll_hw", None)
-        if coll_hw is not None:
-            ctx = None
-            for m in self.pml.modules:
-                if m.name == "elan4":
-                    ctx = m.ctx
-                    break
-            coll_hw.register_rank(
-                self.process.rank, ctx, self.process.group, self.process.group_count
-            )
+        ctx = None
+        for m in self.pml.modules:
+            if m.name == "elan4":
+                ctx = m.ctx
+                break
+        self.process.job.cluster.coll_hw.register_rank(
+            self.process.rank, ctx, self.process.group, self.process.group_count
+        )
         return info
 
     def wire_up(self, thread, table: Dict[int, Dict]) -> Generator:
@@ -157,7 +155,7 @@ class MpiApi:
     def restart_image(self):
         """The checkpoint image this process was restarted from, or None
         on a first launch (see :mod:`repro.rte.checkpoint`)."""
-        return getattr(self.process, "restart_image", None)
+        return self.process.restart_image
 
     # -- memory ------------------------------------------------------------------
     def alloc(self, nbytes: int, label: str = "user"):
@@ -227,7 +225,7 @@ class MpiApi:
     @property
     def ft(self):
         """The job's fault-tolerance daemon, or None when FT is disabled."""
-        return getattr(self.process.job, "ft", None)
+        return self.process.job.ft
 
     def _ft_required(self):
         ft = self.ft

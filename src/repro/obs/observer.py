@@ -212,13 +212,13 @@ class Observer:
                     f"{prefix}{name}.packets_routed",
                     topology.switches[name].packets_routed,
                 )
-        for rail, nics in enumerate(getattr(cluster, "ib_nics", [])):
+        for rail, nics in enumerate(cluster.ib_nics):
             prefix = f"ibrail{rail}." if rail else "ib."
             for nic in nics:
                 key = f"{prefix}hca{nic.node_id}"
                 for name, value in sorted(nic.stats().items()):
                     m.gauge_set("ib", f"{key}.{name}", value)
-        for rail, fabric in enumerate(getattr(cluster, "ib_fabrics", [])):
+        for rail, fabric in enumerate(cluster.ib_fabrics):
             prefix = f"ibrail{rail}." if rail else "ib."
             for name, value in sorted(fabric.stats().items()):
                 m.gauge_set("ib", f"{prefix}{name}", value)

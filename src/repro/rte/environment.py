@@ -159,6 +159,9 @@ class RteProcess:
         #: helper threads tied to this process's lifetime (FT heartbeat);
         #: killed together with the main thread
         self.aux_threads: List[Any] = []
+        #: the checkpoint image a restarted rank resumes from (set by
+        #: :func:`repro.rte.checkpoint.restart_rank`); None on a first launch
+        self.restart_image: Optional[Any] = None
         self.main_thread = node.spawn_thread(self._main, name=f"rank{rank}")
 
     # -- lifecycle ---------------------------------------------------------
@@ -188,7 +191,7 @@ class RteProcess:
             thread, {"op": "sync", "group": self.group, "count": self.group_count}
         )
         table = {int(r): e for r, e in reply["table"].items()}
-        ft = getattr(self.job, "ft", None)
+        ft = self.job.ft
         if ft is not None:
             ft.attach_process(self)
         yield from self.stack.wire_up(thread, table)

@@ -70,6 +70,8 @@ class JobRun:
         self.lease: Optional[ClusterLease] = None
         self.results: Dict[int, Any] = {}
         self._ranks_left = spec.np
+        #: shared-fabric counters at start (see ``_net_snapshot``)
+        self._net_mark: Optional[Dict[str, float]] = None
 
     def describe(self) -> str:
         return f"{self.spec.describe()} state={self.state}"
@@ -253,7 +255,7 @@ class JobScheduler:
         for fabric in self.cluster.rail_fabrics:
             snap["elan4_bytes"] += fabric.bytes_delivered
             snap["elan4_packets"] += fabric.packets_delivered
-        for fabric in getattr(self.cluster, "ib_fabrics", []):
+        for fabric in self.cluster.ib_fabrics:
             stats = fabric.stats()
             snap["ib_bytes"] += stats["bytes_tx"]
             snap["ib_packets"] += stats["packets_tx"]
@@ -276,7 +278,7 @@ class JobScheduler:
             obs.gauge("sched", "running_jobs", len(self.running))
             obs.sample("sched", "makespan_us", run.stats.makespan_us)
             net = {}
-            mark = getattr(run, "_net_mark", None)
+            mark = run._net_mark
             if mark is not None:
                 now_snap = self._net_snapshot()
                 net = {k: now_snap[k] - mark[k] for k in mark}

@@ -66,6 +66,7 @@ class Process(SimEvent):
         name: Optional[str] = None,
         daemon: bool = False,
     ):
+        # kept probes: ``gen`` is the caller's object, checked before use
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         if not hasattr(gen, "send"):
             raise SimError(f"Process requires a generator, got {gen!r}")

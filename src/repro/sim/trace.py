@@ -1,10 +1,12 @@
 """Lightweight tracing and statistics.
 
-Every subsystem takes an optional :class:`Tracer`; when disabled the hooks
-cost one attribute check.  The benchmark harness uses tracers to decompose
-latency by layer (Fig. 9's PML-cost vs PTL-latency measurement) and tests
-use them to assert event orderings (e.g. that the chained FIN really was
-issued by the NIC event engine, not the host).
+Every :class:`~repro.cluster.Cluster` owns one :class:`Tracer`; when
+disabled the hooks cost one attribute check.  The stack feeds it counters
+(``pml.*``, ``ptl.*``, ``fabric.*``, ``fault.*``, ``ft.*``), samples (the
+FT detection latency and MTTR the recovery bench reads) and timing spans
+(one per collective call, which the sanitizer checks for leaks).  Nothing
+in the stack calls :meth:`Tracer.record`; trace records exist for tests
+and ad-hoc scripts that record their own.
 
 ``keep_records`` accepts three shapes: ``True`` keeps every record
 (tests), ``False`` keeps none (counters/samples only — cluster default),
@@ -65,9 +67,8 @@ class Tracer:
         #: category -> records of that category, maintained alongside
         #: ``records`` so :meth:`of_category` is O(matches), not O(all)
         self._by_category: Dict[str, List[TraceRecord]] = {}
-        sanitizer = getattr(sim, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.on_tracer(self)
+        if sim.sanitizer is not None:
+            sim.sanitizer.on_tracer(self)
 
     @property
     def _cap(self) -> Optional[int]:

@@ -10,6 +10,7 @@ from tests.conftest import run_mpi_app
 
 class _FakeProcess:
     def __init__(self, cluster):
+        self.job = type("J", (), {"cluster": cluster, "ft": None})()
         self.node = cluster.nodes[0]
         self.rank = 0
         self.space = self.node.new_address_space("p")

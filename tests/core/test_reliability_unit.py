@@ -10,7 +10,7 @@ from repro.core.pml.teg import Pml
 
 class _FakeProcess:
     def __init__(self, cluster, node_id, rank):
-        self.job = type("J", (), {"cluster": cluster})()
+        self.job = type("J", (), {"cluster": cluster, "ft": None})()
         self.node = cluster.nodes[node_id]
         self.rank = rank
         self.space = self.node.new_address_space(f"r{rank}")

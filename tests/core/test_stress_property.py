@@ -4,7 +4,7 @@ order, and clean teardown."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ptl.elan4.module import Elan4PtlOptions
@@ -114,6 +114,9 @@ def test_property_allreduce_matches_numpy(np_, op, count, seed):
     chunk_sizes=st.lists(st.integers(0, 500), min_size=4, max_size=4),
     seed=st.integers(0, 100),
 )
+# rank 0 holds only empty chunks, ranks 1-2 hold 1 B ones: a size key taken
+# from local chunks split the algorithm choice and deadlocked
+@example(np_=3, chunk_sizes=[0, 0, 0, 1], seed=0)
 def test_property_alltoall_permutes_correctly(np_, chunk_sizes, seed):
     rng = np.random.default_rng(seed)
     # chunks[src][dst] of varying sizes
