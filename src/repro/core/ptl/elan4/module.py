@@ -4,12 +4,17 @@ Resources per module (one per Elan4 NIC):
 
 * a claimed hardware context / fresh VPID from the system-wide capability
   (dynamic join, §5);
-* a host-side receive queue of 2 KB QSLOTS for incoming fragments;
+* a host-side receive queue of 2 KB QSLOTS for incoming fragments, mapped
+  as one slab that the queue owns;
 * ``ptl_send_buffers`` preallocated 2 KB send buffers ("To speed up fast
   transmission of small packets, send buffers (each of 2KB) are
-  preallocated", §5) — exhaustion back-pressures senders;
+  preallocated", §5), carved from one slab that the module owns —
+  exhaustion back-pressures senders;
 * optionally a second queue when the shared completion queue runs in
   two-queue mode.
+
+None of these is ever freed while the module lives; message buffers are
+the MPI layer's (DESIGN.md, "Buffer ownership").
 
 The module's option set is exactly the paper's ablation space — see
 :class:`Elan4PtlOptions`.
@@ -162,12 +167,14 @@ class Elan4PtlModule(PtlModule):
         from repro.core.ptl.elan4.reliability import ReliableChannel
 
         self.reliable = ReliableChannel(self) if self.options.reliability else None
-        # preallocated 2 KB send buffers (free list with back-pressure)
+        # preallocated 2 KB send buffers: one slab, handed out as slot-sized
+        # sub-buffers through a free list with back-pressure
+        slot = self.config.qslot_bytes
+        nbufs = self.config.ptl_send_buffers
+        pool = self.process.space.alloc(nbufs * slot, label="sendbufs")
         self._send_bufs = Store(self.sim, name="sendbufs")
-        for i in range(self.config.ptl_send_buffers):
-            self._send_bufs.put(
-                self.process.space.alloc(self.config.qslot_bytes, label=f"sendbuf{i}")
-            )
+        for i in range(nbufs):
+            self._send_bufs.put(pool.sub(i * slot, slot))
         #: vpids of peers marked dead — the rank->vpid mapping survives
         #: removal so the failover takeover can still harvest their state
         self._dead_vpids: Dict[int, int] = {}

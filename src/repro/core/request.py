@@ -16,7 +16,7 @@ Completion must be observable two ways (§3, dual-mode progress):
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.events import SimEvent
 
@@ -65,6 +65,9 @@ class Request:
         self.obs_tid: Optional[int] = None
         #: the PML's open-rendezvous key while the transfer is in flight
         self.rndv_key: Optional[Tuple[int, int, int]] = None
+        #: run once by :meth:`signal_completion` (the MPI layer frees the
+        #: buffer it staged a send in here)
+        self.on_complete: Optional[Callable[[], None]] = None
 
     # -- progress ----------------------------------------------------------
     def add_progress(self, nbytes: int) -> bool:
@@ -83,6 +86,9 @@ class Request:
             return
         self.completed = True
         self.completed_at = self.sim.now
+        if self.on_complete is not None:
+            hook, self.on_complete = self.on_complete, None
+            hook()
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
             ev.succeed(self)

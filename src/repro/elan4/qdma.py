@@ -62,7 +62,13 @@ class QdmaMessage:
 
 
 class QdmaQueue:
-    """A receive queue of QSLOTS in one process's host memory."""
+    """A receive queue of QSLOTS in one process's host memory.
+
+    The slots are one slab of ``nslots * qslot_bytes`` mapped when the
+    queue is created and owned by the queue until its process exits; each
+    entry of ``slot_buffers`` is a bounds-checked sub-buffer of it, so an
+    oversized delivery traps instead of spilling into the next slot.
+    """
 
     def __init__(
         self,
@@ -157,9 +163,8 @@ class QdmaEngine:
         if key in self.queues:
             raise QdmaError(f"queue {queue_id} already exists in ctx {ctx:#x}")
         slot_bytes = self.config.qslot_bytes
-        slots = [
-            space.alloc(slot_bytes, label=f"qslot{queue_id}.{i}") for i in range(nslots)
-        ]
+        ring = space.alloc(nslots * slot_bytes, label=f"qslots{queue_id}")
+        slots = [ring.sub(i * slot_bytes, slot_bytes) for i in range(nslots)]
         q = QdmaQueue(self.nic, ctx, queue_id, nslots, slots)
         self.queues[key] = q
         return q

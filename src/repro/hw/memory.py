@@ -34,28 +34,36 @@ class Buffer:
         self.nbytes = nbytes
         self.label = label
 
+    def _check(self, offset: int, n: int) -> int:
+        """The address of ``[offset, offset + n)``, which must lie inside
+        this buffer: a slot of a slab has a live neighbour right behind
+        it, so the bound is the handle's, not the region's page."""
+        if offset < 0 or offset + n > self.nbytes:
+            raise MemoryError_(
+                f"access [{offset}:{offset + n}] outside {self.nbytes}-byte buffer"
+                f"{' ' + repr(self.label) if self.label else ''}"
+            )
+        return self.addr + offset
+
     def view(self, offset: int = 0, nbytes: Optional[int] = None) -> np.ndarray:
         """A mutable numpy view of (a slice of) the buffer."""
         n = self.nbytes - offset if nbytes is None else nbytes
-        return self.space.view(self.addr + offset, n)
+        return self.space.view(self._check(offset, n), n)
 
     def write(self, data, offset: int = 0) -> None:
-        self.space.write(self.addr + offset, data)
+        arr = np.asarray(data, dtype=np.uint8).ravel()
+        self.space.write(self._check(offset, arr.nbytes), arr)
 
     def read(self, offset: int = 0, nbytes: Optional[int] = None) -> np.ndarray:
         n = self.nbytes - offset if nbytes is None else nbytes
-        return self.space.read(self.addr + offset, n)
+        return self.space.read(self._check(offset, n), n)
 
     def fill(self, value: int) -> None:
         self.view()[:] = value
 
     def sub(self, offset: int, nbytes: int, label: str = "") -> "Buffer":
         """A sub-buffer aliasing the same bytes (no allocation)."""
-        if offset < 0 or offset + nbytes > self.nbytes:
-            raise MemoryError_(
-                f"sub-buffer [{offset}:{offset + nbytes}] outside {self.nbytes}-byte buffer"
-            )
-        return Buffer(self.space, self.addr + offset, nbytes, label or self.label)
+        return Buffer(self.space, self._check(offset, nbytes), nbytes, label or self.label)
 
     def __len__(self) -> int:
         return self.nbytes
@@ -105,8 +113,9 @@ class AddressSpace:
             raise MemoryError_(f"free of non-region address {buf.addr:#x}")
         self._bases.remove(buf.addr)
         self.allocated_bytes -= region.nbytes
-        self._hit_base = -1
-        self._hit_region = None
+        if self._hit_base == buf.addr:
+            self._hit_base = -1
+            self._hit_region = None
 
     # -- access --------------------------------------------------------
     def _locate(self, addr: int, nbytes: int) -> tuple[np.ndarray, int]:

@@ -13,7 +13,7 @@ parent, so every member derives the same id without a network exchange.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import Generator, List, Optional, Sequence, Union, TYPE_CHECKING
 
 import numpy as np
 
@@ -80,25 +80,38 @@ class Communicator:
         return self.stack.pml
 
     # -- buffer plumbing ----------------------------------------------------------
-    def _as_send_buffer(self, data) -> Tuple["Buffer", int]:
+    # A caller's Buffer is never freed here; a buffer this layer staged a
+    # message in is freed by the call that staged it (DESIGN.md, "Buffer
+    # ownership").
+    def _isend(
+        self, data, dest: int, tag: int, nbytes: Optional[int], sync: bool
+    ) -> Generator:
         from repro.hw.memory import Buffer
 
-        if isinstance(data, Buffer):
-            return data, data.nbytes
-        api = self.stack.user_api()
-        return api.buffer_from(data)
+        staged = not isinstance(data, Buffer)
+        if staged:
+            buf, size = self.stack.user_api().buffer_from(data)
+        else:
+            buf, size = data, data.nbytes
+        if nbytes is not None:
+            size = nbytes
+        req = yield from self._pml.isend(
+            self._thread, buf, size, self.global_rank_of(dest), tag, self.ctx_id,
+            sync=sync,
+        )
+        if staged:
+            space = self.stack.process.space
+            if req.completed:
+                space.free(buf)
+            else:
+                req.on_complete = lambda: space.free(buf)
+        return req
 
     # -- point-to-point ---------------------------------------------------------------
     def isend(self, data, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> Generator:
         """Coroutine: non-blocking send; returns the request.  ``data`` may
         be a Buffer (zero-copy into the stack) or bytes/ndarray (staged)."""
-        buf, size = self._as_send_buffer(data)
-        if nbytes is not None:
-            size = nbytes
-        req = yield from self._pml.isend(
-            self._thread, buf, size, self.global_rank_of(dest), tag, self.ctx_id
-        )
-        return req
+        return (yield from self._isend(data, dest, tag, nbytes, sync=False))
 
     def send(self, data, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> Generator:
         req = yield from self.isend(data, dest, tag, nbytes)
@@ -108,14 +121,7 @@ class Communicator:
         """Coroutine: non-blocking *synchronous* send (MPI_Issend) — the
         request completes only once the matching receive was found, which
         forces the rendezvous handshake at every size."""
-        buf, size = self._as_send_buffer(data)
-        if nbytes is not None:
-            size = nbytes
-        req = yield from self._pml.isend(
-            self._thread, buf, size, self.global_rank_of(dest), tag, self.ctx_id,
-            sync=True,
-        )
-        return req
+        return (yield from self._isend(data, dest, tag, nbytes, sync=True))
 
     def ssend(self, data, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> Generator:
         """Coroutine: blocking synchronous send (MPI_Ssend)."""
@@ -166,6 +172,7 @@ class Communicator:
             self._thread, buf, nbytes, src_global, tag, self.ctx_id
         )
         req.transport["user_buffer"] = buf
+        req.transport["staged"] = buffer is None
         return req
 
     def recv(
@@ -192,6 +199,8 @@ class Communicator:
         )
         buf = req.transport["user_buffer"]
         data = buf.read(0, status.nbytes) if status.nbytes else np.empty(0, np.uint8)
+        if req.transport["staged"]:
+            self.stack.process.space.free(buf)
         return data, status
 
     def sendrecv(

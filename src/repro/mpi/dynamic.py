@@ -26,6 +26,7 @@ from typing import Generator, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.ptl.base import PtlError
 from repro.mpi.communicator import Communicator, MpiError
 from repro.rte.spawn import spawn_procs
 
@@ -112,7 +113,7 @@ def comm_spawn(
         for m in api.stack.pml.modules:
             try:
                 yield from m.add_peer(thread, rank, table[rank]["info"])
-            except Exception:
+            except PtlError:
                 continue
     ctx = _group_ctx(desc["group"])
     return InterComm(
@@ -139,7 +140,7 @@ def comm_get_parent(api: "MpiApi") -> Generator:
         for m in api.stack.pml.modules:
             try:
                 yield from m.add_peer(thread, rank, parent_table[rank]["info"])
-            except Exception:
+            except PtlError:
                 continue
     ctx = _group_ctx(process.group)
     return InterComm(

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.pml.progress import start_progress_threads
 from repro.core.pml.teg import Pml
-from repro.core.ptl.base import PtlRegistry
+from repro.core.ptl.base import PtlError, PtlRegistry
 from repro.core.ptl.elan4.module import Elan4PtlComponent, Elan4PtlOptions
 from repro.core.ptl.tcp import TcpPtlComponent
 from repro.mpi.communicator import Communicator, MpiError, WORLD_CTX, _derive_ctx
@@ -102,7 +102,7 @@ class MpiStack:
             for m in self.pml.modules:
                 try:
                     yield from m.add_peer(thread, rank, peer_info)
-                except Exception:
+                except PtlError:
                     # peer does not expose this transport; another module
                     # (or none) will reach it — multi-network tolerance
                     continue
@@ -197,7 +197,7 @@ class MpiApi:
             try:
                 m.remove_peer(rank)
                 yield from m.add_peer(self.thread, rank, info)
-            except Exception:
+            except PtlError:
                 continue
         self.stack.pml.reset_peer(rank)
         return epoch
@@ -212,7 +212,7 @@ class MpiApi:
             for m in self.stack.pml.modules:
                 try:
                     yield from m.add_peer(self.thread, rank, table[rank]["info"])
-                except Exception:
+                except PtlError:
                     continue
         ranks = sorted(set(table) | {self.rank})
         self.stack.world = Communicator(

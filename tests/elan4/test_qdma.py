@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.elan4.qdma import QdmaError
+from repro.hw.memory import MemoryError_
 
 
 def pair():
@@ -210,3 +211,40 @@ def test_duplicate_queue_id_rejected():
     dst.create_queue(0)
     with pytest.raises(QdmaError):
         dst.create_queue(0)
+
+
+def test_queue_slots_are_one_contiguous_slab():
+    cluster, _, dst = pair()
+    slot_bytes = cluster.config.qslot_bytes
+    regions_before = len(dst.space._regions)
+    q = dst.create_queue(0, nslots=8)
+    assert len(dst.space._regions) == regions_before + 1
+    base = q.slot_buffers[0].addr
+    assert base in dst.space._regions
+    for i, slot in enumerate(q.slot_buffers):
+        assert slot.addr == base + i * slot_bytes
+        assert slot.nbytes == slot_bytes
+
+
+def test_full_slot_delivery_leaves_next_slot_untouched():
+    cluster, src, dst = pair()
+    q = dst.create_queue(0, nslots=4)
+    slot_bytes = cluster.config.qslot_bytes
+    q.slot_buffers[1].fill(0x5A)
+    payload = np.full(slot_bytes, 0xA5, np.uint8)
+
+    def sender(t):
+        yield from src.qdma_send(t, dst.vpid, 0, payload)
+
+    cluster.nodes[0].spawn_thread(sender)
+    cluster.run()
+    assert np.array_equal(q.slot_buffers[0].read(), payload)
+    assert (q.slot_buffers[1].read() == 0x5A).all()
+
+
+def test_oversized_slot_write_traps():
+    cluster, _, dst = pair()
+    q = dst.create_queue(0, nslots=4)
+    with pytest.raises(MemoryError_):
+        q.slot_buffers[0].write(np.ones(cluster.config.qslot_bytes + 1, np.uint8))
+    assert not q.slot_buffers[1].read().any()

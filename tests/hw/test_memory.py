@@ -80,6 +80,37 @@ def test_free_unmaps():
         space.read(buf.addr, 1)
 
 
+def test_use_after_free_traps_and_neighbour_survives():
+    space = AddressSpace("p0")
+    a = space.alloc(64)
+    b = space.alloc(64)
+    a.fill(3)
+    b.fill(4)
+    assert (b.read() == 4).all()  # last hit is b
+    space.free(b)
+    for access in (b.read, lambda: b.write(np.ones(1, np.uint8)), b.view):
+        with pytest.raises(MemoryError_):
+            access()
+    assert (a.read() == 3).all()  # last hit is a
+    c = space.alloc(64)
+    space.free(c)
+    assert (a.read() == 3).all()
+    with pytest.raises(MemoryError_):
+        c.read()
+
+
+def test_buffer_access_bounded_by_handle_not_page():
+    space = AddressSpace("p0")
+    buf = space.alloc(100)
+    with pytest.raises(MemoryError_):
+        buf.write(np.zeros(101, np.uint8))
+    with pytest.raises(MemoryError_):
+        buf.read(offset=96, nbytes=8)
+    with pytest.raises(MemoryError_):
+        buf.view(offset=-1, nbytes=1)
+    assert buf.view(offset=100).nbytes == 0
+
+
 def test_free_non_region_address_rejected():
     space = AddressSpace("p0")
     buf = space.alloc(128)
