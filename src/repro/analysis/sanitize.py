@@ -117,7 +117,7 @@ class Sanitizer:
         self.nics.append(nic)
 
     def on_tracer(self, tracer: Any) -> None:
-        """A :class:`~repro.sim.trace.Tracer` was created; register it so
+        """A :class:`~repro.obs.tracer.Tracer` was created; register it so
         teardown can flag spans opened via ``span_begin`` that were never
         ``span_end``-ed or ``abandon``-ed (the open-span leak)."""
         self.tracers.append(tracer)

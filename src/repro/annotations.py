@@ -31,7 +31,7 @@ mmu-registration   elan4    Mmu.map_buffer / unmap (unmap_context)
 dma-engine         elan4    DmaEngines unit hold / release at completion
 rdma-descriptor    elan4    RdmaEngine read post / complete-or-cancel
 send-buffer        core     Elan4PtlModule send-buffer Store get / put
-tracer-span        sim      Tracer.span_begin / span_end (or abandon)
+tracer-span        obs      Tracer.span_begin / span_end (or abandon)
 store-item         sim      sim.resources.Store get / put
 =================  =======  ==============================================
 """
@@ -86,7 +86,7 @@ RESOURCE_KINDS: Dict[str, str] = {
     "dma-engine": "elan4",
     "rdma-descriptor": "elan4",
     "send-buffer": "core",
-    "tracer-span": "sim",
+    "tracer-span": "obs",
     "store-item": "sim",
 }
 

@@ -30,7 +30,6 @@ from repro.elan4.nic import Elan4Context, Elan4Nic
 from repro.hw.node import Node
 from repro.sim.core import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 __all__ = ["Cluster", "ClusterLease"]
 
@@ -58,13 +57,16 @@ class Cluster:
         self.config = config or default_config()
         self.sim = sim if sim is not None else Simulator()
         self.rng = rng if rng is not None else RandomStreams(seed)
-        self.tracer = Tracer(self.sim, enabled=True, keep_records=False)
         #: observability observer: None unless REPRO_OBS=1 or an enclosing
         #: ``repro.obs.capture()`` block is active (observation-only — the
         #: simulation schedule is identical either way)
         from repro.obs import maybe_observer
+        from repro.obs.tracer import Tracer
 
         self.observer = maybe_observer(self.sim)
+        #: the always-on counters, samples and spans; forwards into the
+        #: observer's metrics when there is one
+        self.tracer = Tracer(self.sim, self.observer)
         #: NIC-offloaded collective registry: learns each rank's Elan
         #: context at MPI wire-up, seals the static cohort, and hands
         #: hw broadcast/barrier groups to the repro.coll framework
@@ -100,8 +102,7 @@ class Cluster:
         returns its rail index."""
         rail = len(self.rail_fabrics)
         topology = build_quaternary_fat_tree(self.n_nodes)
-        fabric = Fabric(self.sim, self.config, topology)
-        fabric.tracer = self.tracer
+        fabric = Fabric(self.sim, self.config, topology, self.tracer)
         fabric.obs = self.observer
         capability = ElanCapability(self.n_nodes, contexts_per_node=contexts_per_node)
         nics = []

@@ -62,13 +62,13 @@ def _gate_hw(comm: Any, alg: Algorithm, seq: int) -> Algorithm:
 
 def _backend_of(comm: Any) -> Optional[str]:
     """The interconnect axis for table lookups: ``"elan4"``, ``"ib"``, or
-    ``"mixed"`` when this process stripes across both.  Derived from the
-    healthy PTL modules, so a failed-over rail changes future decisions —
-    every rank observes the same failover, so selection stays symmetric."""
+    ``"mixed"`` when the job stripes across both.  Derived from the PTL
+    modules the job launched with, healthy or not: a failover is local to
+    the processes it hit (a one-node port death fails over that node
+    only), so an axis that followed health would split one collective's
+    algorithm choice across ranks and deadlock it."""
     names = set()
     for module in comm.stack.pml.modules:
-        if not module.healthy:
-            continue
         names.add("elan4" if module.name.startswith("elan4") else module.name)
     if "elan4" in names and "ib" in names:
         return "mixed"
@@ -92,12 +92,8 @@ def _select(comm: Any, op: str, nbytes: Optional[int]) -> Tuple[Algorithm, int]:
 def _run(
     comm: Any, op: str, alg: Algorithm, seq: int, kwargs: Dict[str, Any]
 ) -> Generator[Any, Any, Any]:
-    cluster = _cluster_of(comm)
-    sim = comm.stack.process.node.sim
-    tracer = cluster.tracer
-    obs = cluster.observer
+    tracer = _cluster_of(comm).tracer
     key = ("coll", comm.ctx_id, comm.rank, seq)
-    t0 = sim.now
     tracer.span_begin(key, f"coll.{op}.{alg.name}")
     try:
         result = yield from alg.fn(comm, **kwargs)
@@ -105,9 +101,6 @@ def _run(
         tracer.abandon(key)
         raise
     tracer.span_end(key)
-    if obs is not None:
-        obs.count("coll", f"{op}.{alg.name}")
-        obs.sample("coll", f"{op}_latency_us", sim.now - t0)
     return result
 
 

@@ -335,15 +335,7 @@ class Pml:
         Move the peer's in-flight traffic to a surviving PTL; with none
         left, fail exactly that peer's requests."""
         module.mark_peer_dead(rank)
-        self.tracer.count("pml.peer_report")
-        if self.obs is not None:
-            self.obs.count("faults", "pml.peer_report")
-            self.obs.instant(
-                "faults",
-                "peer_report",
-                node=self.process.node.node_id,
-                rank=rank,
-            )
+        self.tracer.event("pml.peer_report", node=self.process.node.node_id, rank=rank)
         self._reschedule_failed(module, error, [rank])
 
     def rail_failed(self, module: "PtlModule", error: BaseException) -> None:
@@ -352,12 +344,7 @@ class Pml:
         if not module.healthy:
             return
         module.healthy = False
-        self.tracer.count("pml.rail_down")
-        if self.obs is not None:
-            self.obs.count("faults", "pml.rail_down")
-            self.obs.instant(
-                "faults", "rail_down", node=self.process.node.node_id
-            )
+        self.tracer.event("pml.rail_down", node=self.process.node.node_id)
         self._reschedule_failed(module, error, list(module.peers))
 
     def _reschedule_failed(self, module, error, ranks) -> None:
@@ -390,8 +377,6 @@ class Pml:
             if payloads or skipped or reqs:
                 self.failovers += 1
                 self.tracer.count("pml.failover")
-                if self.obs is not None:
-                    self.obs.count("faults", "pml.failover")
             plan.append((survivor, rank, payloads, reqs))
         if any(payloads or reqs for _, _, payloads, reqs in plan):
             self.process.node.spawn_thread(
@@ -457,15 +442,9 @@ class Pml:
             # the peer is gone for good: drop its payloads, don't replay
             m.takeover_payloads(rank)
             m.mark_peer_dead(rank)
-        self.tracer.count("pml.peer_poisoned")
-        if self.obs is not None:
-            self.obs.count("faults", "pml.peer_poisoned")
-            self.obs.instant(
-                "faults",
-                "peer_poisoned",
-                node=self.process.node.node_id,
-                rank=rank,
-            )
+        self.tracer.event(
+            "pml.peer_poisoned", node=self.process.node.node_id, rank=rank
+        )
         self._fail_peer_requests(rank, error)
 
     def poison_ctx(self, ctx_id: int, error: BaseException) -> None:

@@ -248,7 +248,6 @@ def receiver_matched(
         module.rdma_retries += 1
         module.pml.tracer.count("ptl.rdma_retry")
         if module.obs is not None:
-            module.obs.count("faults", "ptl.rdma_retry")
             module.obs.flight_instant(
                 recv_req.obs_tid, "nic", "rdma_retry", node=module._obs_node
             )

@@ -42,11 +42,14 @@ class ChainOp:
 
     ``run`` executes in NIC context (a callback); QDMA and RDMA modules
     provide closures that enqueue follow-on commands.  ``description`` feeds
-    traces and tests.
+    traces and tests.  ``ctx`` names the context that owns the operation:
+    from trigger until ``run`` returns, the NIC counts it as that context's
+    pending work, so finalize cannot release the context's VPID under it.
     """
 
     description: str
     run: Callable[[], None]
+    ctx: Optional[int] = None
 
 
 class ElanEvent:

@@ -45,6 +45,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import MachineConfig
     from repro.elan4.fattree import Topology
+    from repro.obs.tracer import Tracer
     from repro.sim.core import Simulator
 
 __all__ = ["Packet", "Fabric", "FabricError"]
@@ -89,7 +90,8 @@ class Fabric:
     #: the queue reliability protocol (rendezvous read watchdog re-issues)
     RECOVERABLE_KINDS = frozenset({"rdma_read_req", "rdma_read_data"})
 
-    def __init__(self, sim: "Simulator", config: "MachineConfig", topology: "Topology"):
+    def __init__(self, sim: "Simulator", config: "MachineConfig",
+                 topology: "Topology", tracer: "Tracer"):
         self.sim = sim
         self.config = config
         self.topology = topology
@@ -111,7 +113,7 @@ class Fabric:
         self._arrival_horizon: Dict[tuple, float] = {}
         #: a dead rail swallows everything after injection (power loss)
         self.down = False
-        self.tracer = None  # wired by the Cluster
+        self.tracer = tracer
         self.obs = None  # observability hook, wired by the Cluster
         # -- fast paths (wall-clock only; modelled time and event ordering
         # are identical on every path, see DESIGN.md §"Performance model of
@@ -197,10 +199,8 @@ class Fabric:
         packet.seq = next(self._tx_seq)
         if self.down:
             self.packets_lost += 1
-            if self.tracer is not None:
-                self.tracer.count("fabric.rail_down_drop")
+            self.tracer.count("fabric.rail_down_drop")
             if self.obs is not None:
-                self.obs.count("faults", "fabric.rail_down_drop")
                 self.obs.flight_instant(
                     packet.meta.get("obs_tid"),
                     "switch",
@@ -218,10 +218,8 @@ class Fabric:
             # else has no recovery story, so fail loudly
             if packet.meta.get("droppable") or packet.kind in self.RECOVERABLE_KINDS:
                 self.packets_unroutable += 1
-                if self.tracer is not None:
-                    self.tracer.count("fabric.unroutable")
+                self.tracer.count("fabric.unroutable")
                 if self.obs is not None:
-                    self.obs.count("faults", "fabric.unroutable")
                     self.obs.flight_instant(
                         packet.meta.get("obs_tid"),
                         "switch",
@@ -275,8 +273,6 @@ class Fabric:
     def _hop_transit(self, sw) -> None:
         sw.packets_routed += 1
         self.hop_transits += 1
-        if self.tracer is not None:
-            self.tracer.count("fabric.hop_transit")
 
     def broadcast(self, packet: Packet, dst_nodes, then=None, *args) -> None:
         """Hardware broadcast: serialise once at the source injection link,
@@ -360,7 +356,7 @@ class Fabric:
                 trace.append((self.sim.now, "loss", packet.kind,
                               packet.src_node, packet.dst_node, packet.seq))
             if self.obs is not None:
-                self.obs.count("faults", "fabric.packet_loss")
+                self.obs.count("fabric", "packet_loss")
                 self.obs.flight_instant(
                     packet.meta.get("obs_tid"),
                     "switch",
@@ -374,10 +370,8 @@ class Fabric:
             and self._corrupt_rng.random() < self._corrupt_rate
         ):
             self.packets_corrupted += 1
-            if self.tracer is not None:
-                self.tracer.count("fabric.corrupted")
+            self.tracer.count("fabric.corrupted")
             if self.obs is not None:
-                self.obs.count("faults", "fabric.packet_corrupt")
                 self.obs.flight_instant(
                     packet.meta.get("obs_tid"),
                     "switch",

@@ -128,7 +128,7 @@ class Elan4Nic:
             if kind == "pkt":
                 self.receive(item)
             else:
-                self.run_chain(item)
+                self._start_chain(item)
 
     # -- fabric interface ---------------------------------------------------
     def receive(self, pkt: Packet) -> None:
@@ -172,12 +172,24 @@ class Elan4Nic:
 
     # -- event engine ------------------------------------------------------
     def run_chain(self, op: ChainOp) -> None:
-        """Execute a chained operation after the event-engine latency."""
+        """Execute a chained operation after the event-engine latency.
+        An owned operation is its context's pending work from here on,
+        including while it waits out a stall."""
+        if op.ctx is not None:
+            self.track_pending(op.ctx)
         if self.stalled:
             self._stalled_work.append(("chain", op))
             return
+        self._start_chain(op)
+
+    def _start_chain(self, op: ChainOp) -> None:
         self.chains_run += 1
-        self.sim.schedule(self.config.nic_chain_us, op.run)
+        self.sim.schedule(self.config.nic_chain_us, self._chain_fired, op)
+
+    def _chain_fired(self, op: ChainOp) -> None:
+        op.run()
+        if op.ctx is not None:
+            self.untrack_pending(op.ctx)
 
     # -- addressing ----------------------------------------------------------
     def resolve_vpid(self, vpid: int) -> VpidEntry:

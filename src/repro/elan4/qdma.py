@@ -239,10 +239,12 @@ class QdmaEngine:
         if payload.nbytes > self.config.qslot_bytes:
             raise QdmaError("chained QDMA payload exceeds QSLOT size")
         frozen_meta = dict(meta or {})
+        src_ctx = self.nic.ctx_of_vpid(src_vpid)
 
         def run() -> None:
+            # the send's own pending slot: reliability retransmits call
+            # ``run`` directly, outside any chain
             self.chained_sends += 1
-            src_ctx = self.nic.ctx_of_vpid(src_vpid)
             self.nic.track_pending(src_ctx)
             self.sim.schedule(
                 self.config.nic_cmd_process_us,
@@ -257,7 +259,9 @@ class QdmaEngine:
                 False,
             )
 
-        return ChainOp(description=f"chained-qdma->{dst_vpid}/q{queue_id}", run=run)
+        return ChainOp(
+            description=f"chained-qdma->{dst_vpid}/q{queue_id}", run=run, ctx=src_ctx
+        )
 
     # -- NIC internals ---------------------------------------------------------
     # Plain callbacks (DESIGN.md §6 "Callback-form engines"); the pending

@@ -49,11 +49,7 @@ class FaultInjector:
 
     def _note(self, kind: str, text: str) -> None:
         self.trace.append((self.sim.now, kind, text))
-        self.cluster.tracer.count(f"fault.{kind}")
-        obs = self.cluster.observer
-        if obs is not None:
-            obs.count("faults", kind)
-            obs.instant("faults", kind, detail=text)
+        self.cluster.tracer.event(f"fault.{kind}", detail=text)
 
     def _topology(self, event: FaultEvent):
         return self.cluster.rail_topologies[event.rail]

@@ -121,12 +121,9 @@ class FtCommState:
             return self.revoked
         err = CommRevokedError(self.ctx_id, origin)
         self.revoked = err
-        cluster = self.daemon.cluster
-        cluster.tracer.count("ft.comm_revoked")
-        obs = cluster.observer
-        if obs is not None:
-            obs.count("ft", "comm_revoked")
-            obs.instant("ft", "comm_revoked", ctx_id=self.ctx_id, origin=origin)
+        self.daemon.cluster.tracer.event(
+            "ft.comm_revoked", layer="ft", ctx_id=self.ctx_id, origin=origin
+        )
         self.fire_abort(err)
         self._poison_member(origin, err)
         hop = 0

@@ -128,14 +128,10 @@ class FtDaemon:
             if rec is not None:
                 base = rec.kill_at_us if rec.kill_at_us is not None else rec.at_us
                 mttr = self.sim.now - base
-                self.cluster.tracer.count("ft.rank_recovered")
-                self.cluster.tracer.sample("ft.mttr_us", mttr)
-                obs = self.cluster.observer
-                if obs is not None:
-                    obs.count("ft", "rank_recovered")
-                    obs.sample("ft", "mttr_us", mttr)
-                    obs.instant("ft", "rank_recovered",
-                                node=proc.node.node_id, rank=rank)
+                tracer = self.cluster.tracer
+                tracer.event("ft.rank_recovered", layer="ft",
+                             node=proc.node.node_id, rank=rank)
+                tracer.sample("ft.mttr_us", mttr)
             if self.driver is not None:
                 self.driver.on_recovered(rank)
 
@@ -224,19 +220,10 @@ class FtDaemon:
         rec = self.membership.mark_dead(rank, cause, kill_at)
         now = self.sim.now
         latency = now - (kill_at if kill_at is not None else rec.at_us)
-        self.cluster.tracer.count("ft.rank_dead")
-        self.cluster.tracer.sample("ft.detect_latency_us", latency)
-        obs = self.cluster.observer
-        if obs is not None:
-            obs.count("ft", "rank_dead")
-            obs.sample("ft", "detect_latency_us", latency)
-            obs.instant(
-                "ft",
-                "rank_dead",
-                node=proc.node.node_id if proc is not None else None,
-                rank=rank,
-                cause=cause,
-            )
+        node = proc.node.node_id if proc is not None else None
+        tracer = self.cluster.tracer
+        tracer.event("ft.rank_dead", layer="ft", node=node, rank=rank, cause=cause)
+        tracer.sample("ft.detect_latency_us", latency)
         error = RankDeadError(rank, cause)
         survivors = [
             r
@@ -283,7 +270,6 @@ class FtDaemon:
         self.cluster.tracer.count("ft.rank_reclaimed")
         obs = self.cluster.observer
         if obs is not None:
-            obs.count("ft", "rank_reclaimed")
             obs.flight_abandon_involving(rank, f"rank {rank} dead")
         self._abandon_dead_spans(rank)
         if self.driver is not None:

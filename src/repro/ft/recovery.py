@@ -134,5 +134,4 @@ class RecoveryDriver:
         cluster.tracer.count("ft.degraded_shrink_only")
         obs = cluster.observer
         if obs is not None:
-            obs.count("ft", "degraded_shrink_only")
             obs.flight_abandon(self._flights.pop(rank, None), reason)

@@ -1,6 +1,7 @@
-"""Observability subsystem: flight recorder, metrics registry, exporters.
+"""Observability subsystem: tracer, flight recorder, metrics, exporters.
 
-Two ways to turn it on, both observation-only (modelled time is
+Every cluster owns an always-on :class:`~repro.obs.tracer.Tracer`; the
+rest is opt-in, two ways, both observation-only (modelled time is
 bit-identical either way, and identical to a run with obs off):
 
 * **Environment**: ``REPRO_OBS=1`` makes every newly built cluster
@@ -13,8 +14,8 @@ bit-identical either way, and identical to a run with obs off):
   the environment.
 
 Model objects hold ``obs = None`` when disabled; every hook site is a
-single attribute check, the same cost profile as the tracer/sanitizer
-hooks the performance ledger (``benchmarks/perf``) already measures.
+single attribute check, the same cost profile as the sanitizer hooks the
+performance ledger (``benchmarks/perf``) already measures.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ each consumer used to re-plumb by hand.  Three metric kinds:
   snapshots (no adaptive binning, no wall-clock anywhere).
 
 Metrics live in named scopes, one per subsystem (``pml`` / ``ptl`` /
-``nic`` / ``switch`` / ``faults`` / ``hw``), and the snapshot/diff API
-turns any two points in a run into an attributable delta.
+``nic`` / ``switch`` / ``hw``, plus the scopes of the keys the cluster
+tracer forwards: ``fabric`` / ``fault`` / ``ft`` / ``coll``), and the
+snapshot/diff API turns any two points in a run into an attributable
+delta.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ STANDARD_SCOPES: tuple[str, ...] = (
     "nic",
     "switch",
     "ib",
-    "faults",
     "hw",
     "sched",
 )

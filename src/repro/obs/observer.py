@@ -5,9 +5,9 @@ Model code never imports the flight recorder or metrics registry
 directly; it holds an ``obs`` attribute that is ``None`` when
 observability is disabled (the default) and an :class:`Observer` when
 enabled.  Every hook site is therefore one attribute check in the
-disabled case — the same pattern the tracer and sanitizer already use —
-which is what keeps default runs bit-identical and the ledger's
-``host_s`` honest.
+disabled case — the same pattern the sanitizer uses — which is what
+keeps default runs bit-identical and the ledger's ``host_s`` honest.
+The cluster's :class:`~repro.obs.tracer.Tracer` forwards into it too.
 
 The Observer owns:
 

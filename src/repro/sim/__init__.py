@@ -29,7 +29,6 @@ from repro.sim.events import (
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -46,5 +45,4 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
-    "Tracer",
 ]

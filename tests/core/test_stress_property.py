@@ -25,6 +25,9 @@ SIZE = st.sampled_from([0, 1, 63, 64, 1983, 1984, 1985, 4000, 4096, 20_000])
     scheme=st.sampled_from(["read", "write"]),
     prepost=st.booleans(),
 )
+# a chained FIN_ACK still queued on the event engine when the sender's
+# last send completed: finalize used to release its VPID under it
+@example(msgs=[(1985, 0), (1983, 0)], scheme="read", prepost=True)
 def test_property_random_schedule_is_lossless_and_ordered(msgs, scheme, prepost):
     """Any mix of sizes/tags between two ranks: every byte arrives intact,
     same-tag messages match in send order, and the job tears down clean."""

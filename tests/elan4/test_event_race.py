@@ -77,6 +77,29 @@ def test_chain_runs_on_trigger():
     assert ran[0] == pytest.approx(cluster.config.nic_chain_us)
 
 
+def test_owned_chain_is_pending_work_until_it_has_run():
+    """A chained QDMA is its context's pending work from trigger until
+    its send has left — so finalize's drain waits for it — and a chain
+    parked by a NIC stall is counted once, not again on resume."""
+    cluster, a, _ = single()
+    a.create_queue(7, nslots=4)
+    nic = a.nic
+    op = a.chained_qdma(a.vpid, 7, np.zeros(8, np.uint8))
+    assert op.ctx == a.ctx
+    ev = a.make_event(count=1)
+    ev.chain(op)
+    nic.stall()
+    ev.fire()
+    assert nic.pending_ops(a.ctx) == 1
+    cluster.sim.run(until=100.0)
+    assert nic.pending_ops(a.ctx) == 1 and nic.chains_run == 0
+    nic.resume()
+    drained = nic.drain_event(a.ctx)
+    cluster.run()
+    assert drained.triggered and nic.pending_ops(a.ctx) == 0
+    assert nic.chains_run == 1 and nic.qdma.chained_sends == 1
+
+
 def test_interrupt_armed_event_pays_interrupt_latency():
     cluster, a, _ = single()
     cfg = cluster.config

@@ -2,46 +2,66 @@
 
 import pytest
 
-from repro.sim import RandomStreams, Simulator, Tracer
+from repro.obs.observer import Observer
+from repro.obs.tracer import Tracer
+from repro.sim import RandomStreams, Simulator
 
 
 def test_tracer_records_and_counts():
+    """Counts and events land in the tracer; with an observer attached
+    they are forwarded as ``<scope>/<name>`` metrics, and an event also
+    puts one timeline mark."""
     sim = Simulator()
-    tr = Tracer(sim)
-    sim.schedule(2.0, lambda: tr.record("pkt.send", size=64, dst=1))
-    sim.schedule(4.0, lambda: tr.record("pkt.send", size=128, dst=2))
+    ob = Observer(sim)
+    tr = Tracer(sim, ob)
+    sim.schedule(2.0, lambda: tr.event("fault.link_flap", node=3, detail="x"))
+    sim.schedule(4.0, lambda: tr.event("ft.rank_dead", layer="ft", rank=1))
+    sim.schedule(5.0, lambda: tr.count("pml.failover", 2))
     sim.run()
-    assert tr.counters["pkt.send"] == 2
-    recs = tr.of_category("pkt.send")
-    assert [r.time for r in recs] == [2.0, 4.0]
-    assert recs[0].get("size") == 64
-    assert recs[0].get("missing", "dflt") == "dflt"
+    assert tr.counters == {"fault.link_flap": 1, "ft.rank_dead": 1, "pml.failover": 2}
+    assert [m.as_dict() for m in ob.marks] == [
+        {"layer": "faults", "name": "link_flap", "ts": 2.0, "node": 3,
+         "fields": {"detail": "x"}},
+        {"layer": "ft", "name": "rank_dead", "ts": 4.0, "fields": {"rank": 1}},
+    ]
+    scopes = ob.snapshot()["scopes"]
+    assert scopes["fault"]["link_flap"]["value"] == 1
+    assert scopes["ft"]["rank_dead"]["value"] == 1
+    assert scopes["pml"]["failover"]["value"] == 2
 
 
 def test_tracer_disabled_is_inert():
+    """Without an observer attached the tracer keeps its own counters and
+    samples and forwards nothing: observation stays opt-in."""
     sim = Simulator()
-    tr = Tracer(sim, enabled=False)
-    tr.record("x")
+    ob = Observer(sim)
+    tr = Tracer(sim)
     tr.count("y")
-    tr.sample("z", 1.0)
-    tr.span_begin("k", "span")
-    assert tr.span_end("k") is None
-    assert not tr.records and not tr.counters and not tr.samples
+    tr.event("fault.x", detail="d")
+    tr.sample("z.w", 1.0)
+    tr.span_begin("k", "span.s")
+    assert tr.span_end("k") == 0.0
+    assert tr.counters == {"y": 1, "fault.x": 1}
+    assert tr.samples == {"z.w": [1.0], "span.s": [0.0]}
+    assert not ob.marks and ob.snapshot()["scopes"] == {}
 
 
 def test_tracer_spans_measure_durations():
     sim = Simulator()
-    tr = Tracer(sim)
+    ob = Observer(sim)
+    tr = Tracer(sim, ob)
 
     def proc():
-        tr.span_begin("msg1", "latency")
+        tr.span_begin("msg1", "coll.bcast.chain")
         yield sim.timeout(7.5)
         tr.span_end("msg1")
 
     sim.spawn(proc())
     sim.run()
-    assert tr.samples["latency"] == [7.5]
-    assert tr.mean("latency") == 7.5
+    assert tr.samples["coll.bcast.chain"] == [7.5]
+    hist = ob.snapshot()["scopes"]["coll"]["bcast.chain"]
+    assert hist["type"] == "histogram"
+    assert (hist["count"], hist["total"]) == (1, 7.5)
 
 
 def test_tracer_span_end_unknown_key():
@@ -51,18 +71,15 @@ def test_tracer_span_end_unknown_key():
 
 
 def test_tracer_mean_requires_samples():
+    """A category has samples to average only once one was taken: an
+    abandoned span adds none, to the tracer or to the observer."""
     sim = Simulator()
-    tr = Tracer(sim)
-    with pytest.raises(KeyError):
-        tr.mean("empty")
-
-
-def test_tracer_keep_records_false_still_counts():
-    sim = Simulator()
-    tr = Tracer(sim, keep_records=False)
-    tr.record("a", k=1)
-    assert tr.counters["a"] == 1
-    assert tr.records == []
+    ob = Observer(sim)
+    tr = Tracer(sim, ob)
+    tr.span_begin("k", "coll.barrier.hw")
+    tr.abandon("k")
+    assert "coll.barrier.hw" not in tr.samples
+    assert "coll" not in ob.snapshot()["scopes"]
 
 
 def test_rng_streams_are_deterministic():

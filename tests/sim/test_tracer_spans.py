@@ -1,11 +1,9 @@
-"""Tracer satellites: span abandon/leak accounting, the category index,
-and the record ring cap."""
-
-import pytest
+"""Tracer satellites: span abandon/leak accounting and the sanitizer's
+open-span probe."""
 
 from repro.analysis.sanitize import Sanitizer
+from repro.obs.tracer import Tracer
 from repro.sim.core import Simulator
-from repro.sim.trace import Tracer
 
 
 def test_abandon_discards_span_without_sampling():
@@ -47,55 +45,3 @@ def test_sanitizer_quiet_when_spans_closed():
     tr.span_begin("k", "op")
     tr.span_end("k")
     assert not [f for f in sim.sanitizer.teardown() if f.kind == "open-span"]
-
-
-def test_of_category_uses_index_and_matches_records():
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.record("a", v=1)
-    tr.record("b", v=2)
-    tr.record("a", v=3)
-    assert [r.get("v") for r in tr.of_category("a")] == [1, 3]
-    assert tr.of_category("missing") == []
-    assert len(tr.records) == 3
-
-
-def test_ring_cap_bounds_records_and_counts_drops():
-    sim = Simulator()
-    tr = Tracer(sim, keep_records=3)
-    for i in range(10):
-        tr.record("ev", i=i)
-    assert len(tr.records) <= 6  # amortised: trimmed at 2x cap
-    tr.record("other", i=99)
-    # survivors are the most recent records, and the category index
-    # tracks exactly the survivors
-    kept = [(r.category, r.get("i")) for r in tr.records]
-    assert kept[-1] == ("other", 99)
-    assert kept[:-1] == [("ev", r.get("i")) for r in tr.of_category("ev")]
-    assert tr.records_dropped == 11 - len(tr.records)
-    assert tr.counters["ev"] == 10  # counters never truncate
-
-
-def test_ring_cap_rejects_nonpositive():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Tracer(sim, keep_records=0)
-
-
-def test_keep_records_false_still_counts():
-    sim = Simulator()
-    tr = Tracer(sim, keep_records=False)
-    tr.record("ev")
-    assert tr.records == []
-    assert tr.of_category("ev") == []
-    assert tr.counters["ev"] == 1
-
-
-def test_clear_resets_ring_state():
-    sim = Simulator()
-    tr = Tracer(sim, keep_records=2)
-    for i in range(8):
-        tr.record("ev", i=i)
-    tr.clear()
-    assert tr.records == [] and tr.records_dropped == 0
-    assert tr.of_category("ev") == []
