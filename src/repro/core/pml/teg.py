@@ -399,7 +399,10 @@ class Pml:
             for req in reqs:
                 if req.completed:
                     continue
-                req.transport.clear()
+                # detach, not release: a read request already queued at the
+                # dead rail's NIC may still be served from the exposure, so
+                # it lives until that context is torn down
+                req.transfer = None
                 req.ptl_module = survivor
                 try:
                     yield from survivor.send_first(thread, req)

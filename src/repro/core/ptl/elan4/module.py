@@ -295,8 +295,8 @@ class Elan4PtlModule(PtlModule):
         vpid = self.vpid_of(req.dst_rank)
         src_e4 = None
         if req.nbytes > 0:
-            src_e4 = self.ctx.map_buffer(req.buffer.sub(0, req.nbytes))
-            req.transport["src_e4"] = src_e4
+            req.transfer = rdma_sched._Transfer(self, req.buffer.sub(0, req.nbytes))
+            src_e4 = req.transfer.e4
         inline = self.first_frag_capacity if self.options.inline_rndv_data else 0
         inline = min(inline, req.nbytes)
         hdr = FragmentHeader(

@@ -18,16 +18,30 @@ In both schemes the trailing control fragment can be **chained** to the last
 RDMA operation — "automatically triggered when the last RDMA operation is
 done" (§4.2) — or issued by the host once it observes the local completion
 (the Read-NoChain ablation of Fig. 8).
+
+**One owner per transfer.**  What a rendezvous holds on the NIC — its
+buffer's E4 mapping and, for a read, its one descriptor, completion watch
+and watchdog — is a :class:`_Transfer` stored as the request's
+``transfer``.  It records the module that created it, and
+:meth:`_Transfer.release` tears it down once, in that module's context.  A
+control message landing on another module (a late FIN or FIN_ACK on a
+dying rail) still completes the request but never releases the survivor's
+record.  A re-matched RNDV releases the transfer it supersedes; the PML's
+failover only detaches the sender's, since a read already queued at the
+dead rail's NIC may still be served from it.
+
+**The read retry rule.**  A watchdog retry re-issues the transfer's one
+descriptor under its one watch — the same ``done`` event and host word, so
+a waiter parked on the module's wait set (a snapshot: Fig. 5's words cannot
+be blocked on as a set) sees it fire.  A descriptor whose ``done`` already
+fired is not re-issued: its completion is waiting for the host.
 """
 
 from __future__ import annotations
 
-from typing import Generator, TYPE_CHECKING
-
-import numpy as np
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.core.header import (
-    FLAG_INLINE,
     FragmentHeader,
     HDR_ACK,
     HDR_FIN,
@@ -36,38 +50,53 @@ from repro.core.header import (
 from repro.core.ptl.base import PtlError
 from repro.elan4.rdma import RdmaDescriptor
 
-
-def _release_transport_mapping(module, req, key: str) -> None:
-    """Drop the per-transfer MMU registration a request carries under
-    ``req.transport[key]`` (``src_e4`` on the sender, ``dst_e4`` on the
-    write-scheme receiver).  Once-only via pop, and skipped wholesale if
-    ft already reclaimed the context — without this, every rendezvous
-    leaves one registration behind until finalize and the MMU table grows
-    without bound."""
-    e4 = req.transport.pop(key, None)
-    if e4 is not None and not module.ctx.finalized:
-        module.ctx.unmap(e4)
-
-
-def _abandon_attempt(state) -> None:
-    """Tear down one rendezvous-read attempt: stop its watchdog, drop its
-    completion watch, release its NIC descriptor."""
-    state["abandoned"] = True
-    if state["watchdog"] is not None:
-        state["watchdog"].cancel()
-        state["watchdog"] = None
-    if state["cancel_watch"] is not None:
-        state["cancel_watch"]()
-    if state["desc"] is not None:
-        state["module"].ctx.nic.rdma.cancel(state["desc"])
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pml.matching import IncomingFragment
     from repro.core.ptl.elan4.module import Elan4PtlModule
     from repro.core.request import RecvRequest, SendRequest
+    from repro.elan4.addr import E4Addr
+    from repro.hw.memory import Buffer
 
 __all__ = ["receiver_matched", "sender_handle_ack", "receiver_handle_fin",
            "sender_handle_fin_ack"]
+
+
+class _Transfer:
+    """The NIC-side state of one rendezvous transfer, owned by ``module``:
+    the E4 mapping ``e4`` of ``buf`` and, for a read, the outstanding
+    descriptor, its completion-watch cancel, its watchdog and retry count."""
+
+    __slots__ = ("module", "e4", "desc", "cancel_watch", "watchdog", "retries")
+
+    def __init__(self, module: "Elan4PtlModule", buf: "Buffer"):
+        self.module = module
+        self.e4: Optional["E4Addr"] = module.ctx.map_buffer(buf)
+        self.desc: Optional[RdmaDescriptor] = None
+        self.cancel_watch: Optional[Callable[[], None]] = None
+        self.watchdog = None
+        self.retries = 0
+
+    def release(self) -> None:
+        """Stop the watchdog, drop a descriptor the host has not consumed
+        (its watch and its NIC read), and unmap — once; the unmap is
+        skipped if ft already reclaimed the context wholesale."""
+        if self.watchdog is not None:
+            self.watchdog.cancel()
+            self.watchdog = None
+        if self.desc is not None:
+            self.cancel_watch()
+            self.module.ctx.nic.rdma.cancel(self.desc)
+            self.desc = None
+        e4, self.e4 = self.e4, None
+        if e4 is not None and not self.module.ctx.finalized:
+            self.module.ctx.unmap(e4)
+
+
+def _release_own(module: "Elan4PtlModule", req) -> None:
+    """Release ``req``'s transfer if ``module`` created it."""
+    record = req.transfer
+    if record is not None and record.module is module:
+        record.release()
 
 
 # ----------------------------------------------------------------- receiver
@@ -81,24 +110,19 @@ def receiver_matched(
     remainder = recv_req.nbytes - inline
     peer_vpid = module.vpid_of(hdr.src_rank)
 
-    # failover re-match: if a previous attempt is still in flight on a dead
-    # rail, abandon it — this (re-sent) fragment carries fresh source state
-    prev = recv_req.transport.pop("rndv_state", None)
-    if prev is not None:
-        _abandon_attempt(prev)
+    if recv_req.transfer is not None:
+        # failover re-match: this (re-sent) fragment carries fresh source
+        # state, so the transfer it supersedes dies, on whichever rail
+        recv_req.transfer.release()
 
     if module.options.rdma_scheme == "write":
         # Fig. 3: expose the receive buffer and ACK back to the sender.
-        # A failover re-match can arrive with the previous exposure still
-        # mapped — drop it before exposing afresh.
-        _release_transport_mapping(module, recv_req, "dst_e4")
         dst_e4 = None
         if recv_req.nbytes > 0:
-            dst_e4 = module.ctx.map_buffer(
-                recv_req.buffer.sub(0, recv_req.nbytes)
-            )
-            # the request owns the mapping until the FIN lands
-            recv_req.transport["dst_e4"] = dst_e4
+            # the transfer owns the exposure until the FIN lands
+            exposed = recv_req.buffer.sub(0, recv_req.nbytes)
+            recv_req.transfer = _Transfer(module, exposed)
+            dst_e4 = recv_req.transfer.e4
         ack = FragmentHeader(
             type=HDR_ACK,
             src_rank=module.process.rank,
@@ -143,117 +167,84 @@ def receiver_matched(
         return
 
     cfg = module.config
-    dst_e4 = module.ctx.map_buffer(recv_req.buffer.sub(inline, remainder))
-    state = {
-        "module": module,
-        "desc": None,
-        "cancel_watch": None,
-        "watchdog": None,
-        "retries": 0,
-        "abandoned": False,
-        # the state dict owns the destination mapping: retries reuse it,
-        # and it is unmapped exactly once at a terminal point below
-        "dst_e4": dst_e4,
-    }
-    recv_req.transport["rndv_state"] = state
-
-    def unmap_dst() -> None:
-        # once-only (pop): completion and the give-up watchdog can race
-        # through here; skip entirely if ft already reclaimed the context
-        # (reclaim tears down every translation wholesale)
-        e4 = state.pop("dst_e4", None)
-        if e4 is not None and not module.ctx.finalized:
-            module.ctx.unmap(e4)
-
-    def attempt(t) -> Generator:
-        t_issue = module.sim.now if module.obs is not None else 0.0
-        desc = RdmaDescriptor(
-            op="read",
-            local=dst_e4,
-            remote=hdr.e4 + inline,
-            nbytes=remainder,
-            remote_vpid=peer_vpid,
-            done=module.ctx.make_event(name=f"rd-get#{recv_req.req_id}"),
+    window = recv_req.buffer.sub(inline, remainder)
+    record = recv_req.transfer = _Transfer(module, window)
+    t_issue = module.sim.now if module.obs is not None else 0.0
+    desc = record.desc = RdmaDescriptor(
+        op="read",
+        local=record.e4,
+        remote=hdr.e4 + inline,
+        nbytes=remainder,
+        remote_vpid=peer_vpid,
+        done=module.ctx.make_event(name=f"rd-get#{recv_req.req_id}"),
+    )
+    if module.options.chained_fin:
+        # the event engine fires the FIN_ACK the instant the get
+        # completes — no I/O-bus crossing on the critical path (§4.2)
+        desc.done.chain(
+            module.ctx.chained_qdma(peer_vpid, module.peer_recv_qid, fin_ack.encode())
         )
-        state["desc"] = desc
-        if module.options.chained_fin:
-            # the event engine fires the FIN_ACK the instant the get
-            # completes — no I/O-bus crossing on the critical path (§4.2)
-            desc.done.chain(
-                module.ctx.chained_qdma(
-                    peer_vpid, module.peer_recv_qid, fin_ack.encode()
-                )
+
+    def on_complete(t2) -> Generator:
+        record.desc = None  # consumed: nothing left on the NIC to cancel
+        record.release()
+        if recv_req.completed:
+            # terminal elsewhere (a request failed by ft keeps nothing)
+            yield t2.sim.timeout(0)
+            return
+        if module.obs is not None:
+            # the rendezvous pull: issue to completion on the NIC DMA
+            module.obs.flight_span(
+                recv_req.obs_tid,
+                "nic",
+                "rdma_read",
+                t_issue,
+                node=module._obs_node,
+                nbytes=remainder,
             )
+        module.pml.recv_progress(recv_req, remainder)
+        if not module.options.chained_fin:
+            # host-issued FIN_ACK: observe completion, then send (NoChain)
+            yield from module.send_control(
+                t2, peer_vpid, fin_ack, obs_tid=recv_req.obs_tid
+            )
+        else:
+            yield t2.sim.timeout(0)
 
-        def on_complete(t2) -> Generator:
-            if state["watchdog"] is not None:
-                state["watchdog"].cancel()
-                state["watchdog"] = None
-            if state["abandoned"] or recv_req.completed:
-                # terminal elsewhere (give-up already unmapped; a request
-                # failed by ft keeps nothing) — make sure the mapping dies
-                unmap_dst()
-                yield t2.sim.timeout(0)
-                return
-            unmap_dst()
-            if module.obs is not None:
-                # the rendezvous pull: issue to completion on the NIC DMA
-                module.obs.flight_span(
-                    recv_req.obs_tid,
-                    "nic",
-                    "rdma_read",
-                    t_issue,
-                    node=module._obs_node,
-                    nbytes=remainder,
-                )
-            module.pml.recv_progress(recv_req, remainder)
-            if not module.options.chained_fin:
-                # host-issued FIN_ACK: observe completion, then send (NoChain)
-                yield from module.send_control(
-                    t2, peer_vpid, fin_ack, obs_tid=recv_req.obs_tid
-                )
-            else:
-                yield t2.sim.timeout(0)
-
-        state["cancel_watch"] = module.completions.watch(desc.done, on_complete)
-        if cfg.rdma_timeout_us > 0:
-            # completion watchdog: a pull whose request or data chunks died
-            # in the fabric completes nobody — detect and host-retry (§3's
-            # end-to-end recovery, extended beyond QDMA traffic)
-            timeout = cfg.rdma_timeout_us + remainder * cfg.rdma_timeout_us_per_byte
-            state["watchdog"] = module.sim.schedule(timeout, check)
-        yield from module.ctx.rdma_issue(t, desc)
+    # completion watchdog: a pull whose request or data chunks died in the
+    # fabric completes nobody — detect and host-retry (§3's end-to-end
+    # recovery, extended beyond QDMA traffic)
+    timeout = cfg.rdma_timeout_us + remainder * cfg.rdma_timeout_us_per_byte
 
     def check() -> None:
-        if state["abandoned"] or recv_req.completed:
-            return
-        state["watchdog"] = None
-        if state["cancel_watch"] is not None:
-            state["cancel_watch"]()
-        module.ctx.nic.rdma.cancel(state["desc"])
-        if state["retries"] >= cfg.rdma_max_retries:
-            state["abandoned"] = True
-            unmap_dst()
-            error = PtlError(
+        record.watchdog = None
+        if recv_req.completed or desc.done.fires:
+            return  # finished, or done on the NIC and awaiting the host
+        if record.retries >= cfg.rdma_max_retries:
+            record.release()
+            recv_req.fail(PtlError(
                 f"rendezvous read of {remainder} bytes from rank "
-                f"{hdr.src_rank} stalled through {state['retries']} "
+                f"{hdr.src_rank} stalled through {record.retries} "
                 f"re-issues — giving up"
-            )
-            if not recv_req.completed:
-                recv_req.fail(error)
-                module.pml.completions += 1
-                module.pml.retire(recv_req)
+            ))
+            module.pml.completions += 1
+            module.pml.retire(recv_req)
             return
-        state["retries"] += 1
+        module.ctx.nic.rdma.cancel(desc)
+        record.retries += 1
         module.rdma_retries += 1
         module.pml.tracer.count("ptl.rdma_retry")
         if module.obs is not None:
             module.obs.flight_instant(
                 recv_req.obs_tid, "nic", "rdma_retry", node=module._obs_node
             )
-        module.sim.spawn(attempt(None), name="rndv-read-retry")
+        record.watchdog = module.sim.schedule(timeout, check)
+        module.sim.spawn(module.ctx.rdma_issue(None, desc), name="rndv-read-retry")
 
-    yield from attempt(thread)
+    record.cancel_watch = module.completions.watch(desc.done, on_complete)
+    if cfg.rdma_timeout_us > 0:
+        record.watchdog = module.sim.schedule(timeout, check)
+    yield from module.ctx.rdma_issue(thread, desc)
 
 
 def receiver_handle_fin(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> Generator:
@@ -270,7 +261,7 @@ def receiver_handle_fin(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -
             recv_req.obs_tid, "ptl", "fin", node=module._obs_node
         )
     # the sender's put has landed: the exposed receive window is dead
-    _release_transport_mapping(module, recv_req, "dst_e4")
+    _release_own(module, recv_req)
     module.pml.recv_progress(recv_req, hdr.frag_len)
     yield thread.sim.timeout(0)
 
@@ -279,9 +270,12 @@ def receiver_handle_fin(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -
 def sender_handle_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> Generator:
     """Write scheme: the receiver exposed its buffer — write the remainder."""
     send_req: "SendRequest" = module.pml.find_request(hdr.src_req)
-    if send_req is None or send_req.completed or send_req.acked:
+    if send_req is None or send_req.completed or send_req.acked or (
+        send_req.transfer is not None and send_req.transfer.module is not module
+    ):
         # a duplicate ACK (failover replay of the rendezvous): the first
-        # copy already credited the inline bytes and started the put
+        # copy already credited the inline bytes and started the put — or
+        # a late one from a rail the send has since left for a survivor
         module.stale_controls += 1
         yield thread.sim.timeout(0)
         return
@@ -298,7 +292,7 @@ def sender_handle_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> 
     if remainder <= 0:
         # nothing left to write (fully inlined, or a 0-byte synchronous
         # send): the RNDV-time source exposure is already dead
-        _release_transport_mapping(module, send_req, "src_e4")
+        _release_own(module, send_req)
         if not send_req.completed:
             # the ACK itself is the completion proof
             module.pml.send_progress(
@@ -306,10 +300,10 @@ def sender_handle_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> 
             )
         return
     peer_vpid = module.vpid_of(hdr.src_rank)
-    src_e4 = send_req.transport.get("src_e4")
-    if src_e4 is None:
-        src_e4 = module.ctx.map_buffer(send_req.buffer.sub(0, send_req.nbytes))
-        send_req.transport["src_e4"] = src_e4
+    record = send_req.transfer
+    if record is None:
+        source = send_req.buffer.sub(0, send_req.nbytes)
+        record = send_req.transfer = _Transfer(module, source)
     fin = FragmentHeader(
         type=HDR_FIN,
         src_rank=module.process.rank,
@@ -325,7 +319,7 @@ def sender_handle_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> 
     )
     desc = RdmaDescriptor(
         op="write",
-        local=src_e4 + inline,
+        local=record.e4 + inline,
         remote=hdr.e4 + inline,
         nbytes=remainder,
         remote_vpid=peer_vpid,
@@ -341,7 +335,7 @@ def sender_handle_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader) -> 
     def on_complete(t) -> Generator:
         # the put has left the NIC: the source exposure is no longer
         # needed whatever completed the request in the meantime
-        _release_transport_mapping(module, send_req, "src_e4")
+        record.release()
         if send_req.completed:
             yield t.sim.timeout(0)
             return
@@ -380,7 +374,8 @@ def sender_handle_fin_ack(module: "Elan4PtlModule", thread, hdr: FragmentHeader)
             send_req.obs_tid, "ptl", "fin_ack", node=module._obs_node
         )
     send_req.acked = True
-    # read scheme terminal: the receiver has pulled everything it wants
-    _release_transport_mapping(module, send_req, "src_e4")
+    # read scheme terminal: the receiver has pulled everything it wants;
+    # a FIN_ACK on a rail the send has left completes it all the same
+    _release_own(module, send_req)
     module.pml.send_progress(send_req, send_req.nbytes - send_req.bytes_progressed)
     yield thread.sim.timeout(0)

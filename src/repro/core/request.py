@@ -16,7 +16,7 @@ Completion must be observable two ways (§3, dual-mode progress):
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.events import SimEvent
 
@@ -59,8 +59,9 @@ class Request:
         self.error: Optional[BaseException] = None
         self._waiters: List[SimEvent] = []
         self.completed_at: Optional[float] = None
-        #: scratch area for the owning PTL (peer addresses, mapped E4 ranges)
-        self.transport: Dict[str, Any] = {}
+        #: the owning transport's per-transfer record (its NIC registrations)
+        #: or None; the PML only detaches it when failover moves the send
+        self.transfer: Optional[Any] = None
         #: flight-record trace id when observability is on (None otherwise)
         self.obs_tid: Optional[int] = None
         #: the PML's open-rendezvous key while the transfer is in flight

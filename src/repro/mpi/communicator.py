@@ -163,17 +163,19 @@ class Communicator:
         tag: int = ANY_TAG,
         buffer: Optional["Buffer"] = None,
     ) -> Generator:
-        """Coroutine: post a receive of up to ``nbytes``; returns the request."""
+        """Coroutine: post a receive of up to ``nbytes``; returns the request.
+
+        The bytes land in ``req.buffer``.  Without a ``buffer`` the call
+        stages one, which belongs to the caller once ``wait`` returns: read
+        it as ``req.buffer`` and free it with the address space
+        (``recv`` and ``sendrecv`` free the one they stage themselves)."""
         buf = buffer
         if buf is None:
             buf = self.stack.process.space.alloc(max(nbytes, 1), label="recv")
         src_global = ANY_SOURCE if source == ANY_SOURCE else self.global_rank_of(source)
-        req = yield from self._pml.irecv(
+        return (yield from self._pml.irecv(
             self._thread, buf, nbytes, src_global, tag, self.ctx_id
-        )
-        req.transport["user_buffer"] = buf
-        req.transport["staged"] = buffer is None
-        return req
+        ))
 
     def recv(
         self,
@@ -187,9 +189,9 @@ class Communicator:
         ``status.source`` is a communicator-local rank."""
         req = yield from self.irecv(nbytes, source, tag, buffer)
         yield from self._pml.wait(self._thread, req)
-        return self._finish_recv(req)
+        return self._finish_recv(req, staged=buffer is None)
 
-    def _finish_recv(self, req: RecvRequest):
+    def _finish_recv(self, req: RecvRequest, staged: bool):
         status = Status(
             source=self.comm_rank_of(req.status.source)
             if req.status.source != ANY_SOURCE
@@ -197,9 +199,9 @@ class Communicator:
             tag=req.status.tag,
             nbytes=req.status.nbytes,
         )
-        buf = req.transport["user_buffer"]
+        buf = req.buffer
         data = buf.read(0, status.nbytes) if status.nbytes else np.empty(0, np.uint8)
-        if req.transport["staged"]:
+        if staged:
             self.stack.process.space.free(buf)
         return data, status
 
@@ -218,7 +220,7 @@ class Communicator:
         sreq = yield from self.isend(senddata, dest, sendtag)
         yield from self._pml.wait(self._thread, sreq)
         yield from self._pml.wait(self._thread, rreq)
-        return self._finish_recv(rreq)
+        return self._finish_recv(rreq, staged=recvbuffer is None)
 
     # -- collectives ------------------------------------------------------------------
     # barrier/bcast/allreduce/alltoall/reduce_scatter route through the

@@ -24,9 +24,6 @@ import json
 import zlib
 from typing import Generator, List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.ptl.base import PtlError
 from repro.mpi.communicator import Communicator, MpiError
 from repro.rte.spawn import spawn_procs
 
@@ -109,12 +106,7 @@ def comm_spawn(
     desc = json.loads(bytes(payload).decode())
     # rendezvous with the children via the registry, then wire them up
     table = yield from process.oob_sync(thread, desc["group"], desc["count"])
-    for rank in sorted(table):
-        for m in api.stack.pml.modules:
-            try:
-                yield from m.add_peer(thread, rank, table[rank]["info"])
-            except PtlError:
-                continue
+    yield from api.stack.connect_peers(thread, table)
     ctx = _group_ctx(desc["group"])
     return InterComm(
         api.stack,
@@ -136,12 +128,7 @@ def comm_get_parent(api: "MpiApi") -> Generator:
     parent_table = yield from process.oob_table(thread, "world")
     if not parent_table:
         raise MpiError("spawned process found no parent world in the registry")
-    for rank in sorted(parent_table):
-        for m in api.stack.pml.modules:
-            try:
-                yield from m.add_peer(thread, rank, parent_table[rank]["info"])
-            except PtlError:
-                continue
+    yield from api.stack.connect_peers(thread, parent_table)
     ctx = _group_ctx(process.group)
     return InterComm(
         api.stack,

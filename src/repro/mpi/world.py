@@ -97,21 +97,29 @@ class MpiStack:
     def wire_up(self, thread, table: Dict[int, Dict]) -> Generator:
         """Connect every module to every peer it can reach; build
         MPI_COMM_WORLD; start progress threads if so configured."""
-        for rank in sorted(table):
-            peer_info = table[rank]["info"]
-            for m in self.pml.modules:
-                try:
-                    yield from m.add_peer(thread, rank, peer_info)
-                except PtlError:
-                    # peer does not expose this transport; another module
-                    # (or none) will reach it — multi-network tolerance
-                    continue
+        yield from self.connect_peers(thread, table)
         ranks = sorted(table)
         self.world = Communicator(
             self, ctx_id=WORLD_CTX, group=ranks, rank=self.process.rank
         )
         if self.pml.progress_mode in ("one-thread", "two-thread"):
             start_progress_threads(self.pml)
+
+    def connect_peers(
+        self, thread, table: Dict[int, Dict], skip: Optional[int] = None
+    ) -> Generator:
+        """Connect every module to every rank of a registry ``table`` but
+        ``skip``, rank by rank, in module order."""
+        for rank in sorted(table):
+            if rank == skip:
+                continue
+            for m in self.pml.modules:
+                try:
+                    yield from m.add_peer(thread, rank, table[rank]["info"])
+                except PtlError:
+                    # peer does not expose this transport; another module
+                    # (or none) will reach it — multi-network tolerance
+                    continue
 
     def finalize(self, thread) -> Generator:
         yield from self.pml.finalize(thread)
@@ -206,14 +214,7 @@ class MpiApi:
         """For a restarted rank: wire up to the surviving members of the
         original world and rebuild ``comm_world`` with the full group."""
         table = yield from self.process.oob_table(self.thread, group)
-        for rank in sorted(table):
-            if rank == self.rank:
-                continue
-            for m in self.stack.pml.modules:
-                try:
-                    yield from m.add_peer(self.thread, rank, table[rank]["info"])
-                except PtlError:
-                    continue
+        yield from self.stack.connect_peers(self.thread, table, skip=self.rank)
         ranks = sorted(set(table) | {self.rank})
         self.stack.world = Communicator(
             self.stack, WORLD_CTX, ranks, self.process.rank

@@ -100,7 +100,7 @@ def test_many_outstanding_messages_same_pair():
             for i in range(window):
                 reqs.append((yield from mpi.comm_world.irecv(n, source=0, tag=i)))
             yield from mpi.waitall(reqs)
-            vals = [int(r.transport["user_buffer"].read()[0]) for r in reqs]
+            vals = [int(r.buffer.read()[0]) for r in reqs]
             return vals
 
     results, cluster = run_mpi_app(app)

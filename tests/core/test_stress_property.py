@@ -71,7 +71,7 @@ def test_property_random_schedule_is_lossless_and_ordered(msgs, scheme, prepost)
                         yield from mpi.wait(reqs[i])
             ok = True
             for i, (n, tag) in enumerate(msgs):
-                got = reqs[i].transport["user_buffer"].read(0, n)
+                got = reqs[i].buffer.read(0, n)
                 if n and not np.array_equal(got, payloads[i]):
                     ok = False
             return ok

@@ -151,7 +151,7 @@ def test_collectives_compose_with_p2p_traffic():
         sreq = yield from mpi.comm_world.isend(sbuf, dest=other, tag=5)
         yield from mpi.comm_world.barrier()
         yield from mpi.waitall([req, sreq])
-        return int(req.transport["user_buffer"].read()[0])
+        return int(req.buffer.read()[0])
 
     results, _ = run_mpi_app(app)
     assert results == {0: 1, 1: 0}

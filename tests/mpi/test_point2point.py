@@ -104,10 +104,15 @@ def test_isend_irecv_overlap():
         other = 1 - mpi.rank
         sbuf = mpi.alloc(n)
         sbuf.fill(mpi.rank + 1)
+        space = mpi.process.space
+        before = space.allocated_bytes
         rreq = yield from mpi.comm_world.irecv(n, source=other, tag=0)
         sreq = yield from mpi.comm_world.isend(sbuf, dest=other, tag=0)
         yield from mpi.waitall([sreq, rreq])
-        got = rreq.transport["user_buffer"].read()
+        got = rreq.buffer.read()
+        # the buffer irecv staged is the caller's after the wait
+        space.free(rreq.buffer)
+        assert space.allocated_bytes == before
         return int(got[0])
 
     results, _ = run_mpi_app(app)
