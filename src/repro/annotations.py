@@ -30,9 +30,9 @@ pending-op         elan4    Elan4Nic.track_pending / untrack_pending
 mmu-registration   elan4    Mmu.map_buffer / unmap (unmap_context)
 dma-engine         elan4    DmaEngines unit hold / release at completion
 rdma-descriptor    elan4    RdmaEngine read post / complete-or-cancel
-send-buffer        core     Elan4PtlModule send-buffer Store get / put
+send-buffer        core     Elan4PtlModule send-buffer Store get / put_nowait
 tracer-span        obs      Tracer.span_begin / span_end (or abandon)
-store-item         sim      sim.resources.Store get / put
+store-item         sim      sim.resources.Store get / put (or put_nowait)
 =================  =======  ==============================================
 """
 
@@ -68,7 +68,7 @@ GENERIC_NAMES: FrozenSet[str] = frozenset(
 #: is a send-buffer acquire; ``self._tx_seq.get(k, 0)`` is a dict read).
 CALL_SITE_PATTERNS: Tuple[Tuple[str, str, str, str], ...] = (
     ("acquire", "send-buffer", "_send_bufs", "get"),
-    ("release", "send-buffer", "_send_bufs", "put"),
+    ("release", "send-buffer", "_send_bufs", "put_nowait"),
     ("release", "nic-context", "capability", "release"),
     ("release", "nic-context", "cap", "release"),
     # Tracer.abandon shares its name with the (untagged) flight-recorder

@@ -174,7 +174,7 @@ class Elan4PtlModule(PtlModule):
         pool = self.process.space.alloc(nbufs * slot, label="sendbufs")
         self._send_bufs = Store(self.sim, name="sendbufs")
         for i in range(nbufs):
-            self._send_bufs.put(pool.sub(i * slot, slot))
+            self._send_bufs.put_nowait(pool.sub(i * slot, slot))
         #: vpids of peers marked dead — the rank->vpid mapping survives
         #: removal so the failover takeover can still harvest their state
         self._dead_vpids: Dict[int, int] = {}
@@ -209,7 +209,9 @@ class Elan4PtlModule(PtlModule):
         self.peers[rank] = info[self._info_key]
         # a re-added peer is a fresh incarnation: forget the dead VPID
         self._dead_vpids.pop(rank, None)
-        yield self.sim.timeout(0)
+        # recording a VPID costs no kernel hop; a generator by the PtlModule
+        # contract, since other transports dial their peers here
+        yield from ()
 
     def vpid_of(self, rank: int) -> int:
         vpid = self.peers.get(rank)
@@ -280,7 +282,7 @@ class Elan4PtlModule(PtlModule):
             # aborted before the buffer was handed on (bad datatype, peer
             # released mid-pack): the preallocated buffer must recycle, or
             # the fixed pool drains one slot per failed send
-            self._send_bufs.put(buf)
+            self._send_bufs.put_nowait(buf)
             raise
         yield from self._send_fragment(
             thread, vpid, buf, HEADER_BYTES + req.nbytes, obs_tid=req.obs_tid
@@ -321,7 +323,7 @@ class Elan4PtlModule(PtlModule):
                     thread, buf, req.buffer, inline, dst_off=HEADER_BYTES
                 )
         except BaseException:
-            self._send_bufs.put(buf)
+            self._send_bufs.put_nowait(buf)
             raise
         yield from self._send_fragment(
             thread, vpid, buf, HEADER_BYTES + inline, obs_tid=req.obs_tid
@@ -341,11 +343,11 @@ class Elan4PtlModule(PtlModule):
         try:
             payload = buf.read(0, nbytes)
         except BaseException:
-            self._send_bufs.put(buf)
+            self._send_bufs.put_nowait(buf)
             raise
         meta = None if obs_tid is None else {"obs_tid": obs_tid}
         if self.reliable is not None:
-            self._send_bufs.put(buf)
+            self._send_bufs.put_nowait(buf)
             yield from self.reliable.send(thread, vpid, payload, meta=meta)
             return
         try:
@@ -356,9 +358,9 @@ class Elan4PtlModule(PtlModule):
             # the command was refused at issue (e.g. the destination VPID
             # was released between match and post): no NIC fetch will ever
             # fire the release chain, so recycle the buffer here
-            self._send_bufs.put(buf)
+            self._send_bufs.put_nowait(buf)
             raise
-        done.chain(ChainOp("release-sendbuf", lambda b=buf: self._send_bufs.put(b)))
+        done.chain(ChainOp("release-sendbuf", lambda b=buf: self._send_bufs.put_nowait(b)))
         self.completions.watch_silent(done)
 
     def send_control(

@@ -65,9 +65,10 @@ class QdmaQueue:
     """A receive queue of QSLOTS in one process's host memory.
 
     The slots are one slab of ``nslots * qslot_bytes`` mapped when the
-    queue is created and owned by the queue until its process exits; each
-    entry of ``slot_buffers`` is a bounds-checked sub-buffer of it, so an
-    oversized delivery traps instead of spilling into the next slot.
+    queue is created and owned by the queue until its process exits;
+    ``slot(i)`` is a bounds-checked sub-buffer of it, so an oversized
+    delivery traps instead of spilling into the next slot.  A slot's
+    sub-buffer is built on its first delivery: most queues never fill.
     """
 
     def __init__(
@@ -76,14 +77,15 @@ class QdmaQueue:
         ctx: int,
         queue_id: int,
         nslots: int,
-        slot_buffers: List["Buffer"],
+        ring: "Buffer",
     ):
         self.nic = nic
         self.ctx = ctx
         self.queue_id = queue_id
         self.nslots = nslots
-        self.slot_buffers = slot_buffers
+        self.ring = ring
         self.slot_bytes = nic.config.qslot_bytes
+        self._slots: Dict[int, "Buffer"] = {}
         self.free_slots = nslots
         #: deliveries that have taken a slot but not yet enqueued their
         #: message (payload DMA in progress) — the leak sanitizer's slot
@@ -96,6 +98,17 @@ class QdmaQueue:
         self.interrupt_armed = False
         self.destroyed = False
         self.arrivals = 0
+
+    def slot(self, i: int) -> "Buffer":
+        """QSLOT ``i``'s sub-buffer of the ring."""
+        buf = self._slots.get(i)
+        if buf is None:
+            buf = self._slots[i] = self.ring.sub(i * self.slot_bytes, self.slot_bytes)
+        return buf
+
+    @property
+    def slot_buffers(self) -> List["Buffer"]:
+        return [self.slot(i) for i in range(self.nslots)]
 
     # -- host side ---------------------------------------------------------
     def poll(self) -> Optional[QdmaMessage]:
@@ -162,10 +175,8 @@ class QdmaEngine:
         key = (ctx, queue_id)
         if key in self.queues:
             raise QdmaError(f"queue {queue_id} already exists in ctx {ctx:#x}")
-        slot_bytes = self.config.qslot_bytes
-        ring = space.alloc(nslots * slot_bytes, label=f"qslots{queue_id}")
-        slots = [ring.sub(i * slot_bytes, slot_bytes) for i in range(nslots)]
-        q = QdmaQueue(self.nic, ctx, queue_id, nslots, slots)
+        ring = space.alloc(nslots * self.config.qslot_bytes, label=f"qslots{queue_id}")
+        q = QdmaQueue(self.nic, ctx, queue_id, nslots, ring)
         self.queues[key] = q
         return q
 
@@ -379,7 +390,7 @@ class QdmaEngine:
             # destroy() already reset the slot accounting, so just drop
             self.nic.drop_packet(pkt, reason="queue destroyed mid-delivery")
             return
-        slot = q.slot_buffers[(q.arrivals + len(q._ready)) % q.nslots]
+        slot = q.slot((q.arrivals + len(q._ready)) % q.nslots)
         if pkt.data is not None and pkt.data.nbytes:
             slot.write(pkt.data[: slot.nbytes])
         self.sim.schedule_pooled(

@@ -98,6 +98,9 @@ class CpuScheduler:
         self.cpus = Resource(sim, capacity=config.cpus_per_node, name="cpus")
         self.busy_time = 0.0
         self._threads: list["HostThread"] = []
+        #: the threads marked ``busy_waker``, so a wakeup counts them
+        #: without scanning every thread on the node
+        self._busy_wakers: list["HostThread"] = []
 
     @property
     def runnable_backlog(self) -> int:
@@ -159,9 +162,7 @@ class HostThread:
         self.config = sched.config
         self.name = name
         self.state = "new"  # new | running | ready | blocked | done
-        #: marks threads that wake on every completion (progress threads);
-        #: each one inflates every OTHER thread's wakeup cost on this node
-        self.busy_waker = False
+        self._busy_waker = False
         self._on_cpu = False
         self._cpu_acquired_at = 0.0
         self.process = self.sim.spawn(
@@ -177,6 +178,21 @@ class HostThread:
         finally:
             self._release_cpu()
             self.state = "done"
+
+    @property
+    def busy_waker(self) -> bool:
+        """Marks a thread that wakes on every completion (a progress
+        thread): each one inflates every OTHER thread's wakeup cost on
+        this node."""
+        return self._busy_waker
+
+    @busy_waker.setter
+    def busy_waker(self, value: bool) -> None:
+        if value and not self._busy_waker:
+            self.sched._busy_wakers.append(self)
+        elif self._busy_waker and not value:
+            self.sched._busy_wakers.remove(self)
+        self._busy_waker = value
 
     @property
     def is_alive(self) -> bool:
@@ -281,9 +297,7 @@ class HostThread:
         """Wakeup latency, inflated by scheduler load: every other live
         busy-waker (progress) thread on the node adds ``sched_load_us``."""
         others = sum(
-            1
-            for t in self.sched._threads
-            if t is not self and t.busy_waker and t.state != "done"
+            1 for t in self.sched._busy_wakers if t is not self and t.state != "done"
         )
         return self.config.thread_wakeup_us + self.config.sched_load_us * others
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.rte.oob import OobChannel, OobError, OobServer
+from repro.rte.oob import OobChannel, OobError, OobServer, encode
 from repro.sim.events import SimEvent
 from repro.tcpip.socket import TcpSocket
 from repro.tcpip.stack import IpNetwork
@@ -49,6 +49,10 @@ class SeedDaemon:
         #: can detect that a rank was restarted (stale-VPID detection)
         self._epochs: Dict[int, int] = {}
         self._group_members: Dict[str, set] = {}
+        #: group -> its encoded ``{"table": ...}`` reply; every rank of a
+        #: launch gets the same bytes, so they are encoded once and dropped
+        #: on the next register or deregister
+        self._table_replies: Dict[str, bytes] = {}
         self._sync_waiters: Dict[str, List[tuple]] = {}
         self.server = OobServer(
             job.net, job.cluster.nodes[0], job.seed_port, self._handle, name="seed"
@@ -66,7 +70,7 @@ class SeedDaemon:
             elif op == "sync":
                 ev = self._sync_event(msg)
                 yield from thread.wait_sim_event(ev)
-                reply = {"table": self.group_table(msg["group"])}
+                reply = self._table_reply(msg["group"])
             elif op == "lookup":
                 entry = self.registry.get(msg["rank"])
                 reply = {"info": None if entry is None else entry["info"],
@@ -74,16 +78,19 @@ class SeedDaemon:
             elif op == "deregister":
                 reply = self._deregister(msg)
             elif op == "table":
-                reply = {"table": self.group_table(msg["group"])}
+                reply = self._table_reply(msg["group"])
             else:
                 reply = {"error": f"unknown op {op!r}"}
-            yield from channel.send_msg(thread, reply)
+            if not isinstance(reply, bytes):
+                reply = encode(reply)
+            yield from channel.send_encoded(thread, reply)
 
     def _register(self, msg) -> Dict[str, Any]:
         rank = msg["rank"]
         group = msg.get("group", "world")
         epoch = self._epochs.get(rank, -1) + 1
         self._epochs[rank] = epoch
+        self._table_replies.clear()
         self.registry[rank] = {"info": msg["info"], "group": group, "epoch": epoch}
         self._group_members.setdefault(group, set()).add(rank)
         self._check_syncs(group)
@@ -94,6 +101,7 @@ class SeedDaemon:
         entry = self.registry.pop(rank, None)
         if entry is None:
             return {"ok": False}
+        self._table_replies.clear()
         self._group_members.get(entry["group"], set()).discard(rank)
         return {"ok": True}
 
@@ -116,6 +124,12 @@ class SeedDaemon:
             else:
                 still.append((count, ev))
         self._sync_waiters[group] = still
+
+    def _table_reply(self, group: str) -> bytes:
+        body = self._table_replies.get(group)
+        if body is None:
+            body = self._table_replies[group] = encode({"table": self.group_table(group)})
+        return body
 
     def group_table(self, group: str) -> Dict[str, Any]:
         return {

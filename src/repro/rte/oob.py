@@ -14,9 +14,14 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.tcpip.socket import Listener, TcpSocket
 
-__all__ = ["OobChannel", "OobServer", "OobError"]
+__all__ = ["OobChannel", "OobServer", "OobError", "encode"]
 
 _LEN = struct.Struct(">I")
+
+
+def encode(obj: Any) -> bytes:
+    """The wire body of one OOB message."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
 class OobError(Exception):
@@ -31,7 +36,11 @@ class OobChannel:
 
     def send_msg(self, thread, obj: Any):
         """Coroutine: frame and send one message."""
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        yield from self.send_encoded(thread, encode(obj))
+
+    def send_encoded(self, thread, body: bytes):
+        """Coroutine: frame and send a body :func:`encode` already made
+        (a reply sent many times is encoded once)."""
         yield from self.sock.send(thread, _LEN.pack(len(body)) + body)
 
     def recv_msg(self, thread):

@@ -161,16 +161,27 @@ class Store:
         """Deposit ``item``; returns an event that fires once it is stored
         (immediately unless the store is bounded and full)."""
         ev = SimEvent(self.sim, name=self._put_name)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
+        if self._getters or not self._full():
+            self.put_nowait(item)
             ev.succeed(None)
         else:
             self._putters.append((ev, item))
         return ev
+
+    @releases("store-item")
+    def put_nowait(self, item: Any) -> None:
+        """``put`` without its completion event, for a caller that would
+        never wait on it: hand ``item`` to the oldest waiting getter, or
+        queue it.  A bounded store must have room."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif self._full():
+            raise SimError(f"put_nowait on full store {self.name!r}")
+        else:
+            self._items.append(item)
+
+    def _full(self) -> bool:
+        return self.capacity is not None and len(self._items) >= self.capacity
 
     @acquires("store-item")
     def get(self) -> SimEvent:
@@ -236,18 +247,11 @@ class PriorityStore(Store):
         self._counter = itertools.count()
         self._key = key
 
-    def put(self, item: Any) -> SimEvent:
-        ev = SimEvent(self.sim, name=self._put_name)
+    def put_nowait(self, item: Any) -> None:
+        # Even with waiters, route through the heap so priorities hold.
+        heapq.heappush(self._heap, (self._key(item), next(self._counter), item))
         if self._getters:
-            # Even with waiters, route through the heap so priorities hold.
-            heapq.heappush(self._heap, (self._key(item), next(self._counter), item))
-            getter = self._getters.popleft()
-            top = heapq.heappop(self._heap)[2]
-            getter.succeed(top)
-        else:
-            heapq.heappush(self._heap, (self._key(item), next(self._counter), item))
-        ev.succeed(None)
-        return ev
+            self._getters.popleft().succeed(heapq.heappop(self._heap)[2])
 
     def get(self) -> SimEvent:
         ev = SimEvent(self.sim, name=self._get_name)

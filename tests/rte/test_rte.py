@@ -4,11 +4,14 @@ These use a minimal "echo" stack so the RTE is exercised independently of
 the Open MPI layers built on top of it.
 """
 
+import json
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.rte.checkpoint import CheckpointImage, restart_rank
 from repro.rte.environment import RteJob, launch_job
+from repro.rte.oob import OobChannel
 from repro.rte.spawn import spawn_procs
 
 
@@ -253,3 +256,53 @@ def test_finalize_releases_context_for_reuse():
         launch_job(cluster, app, np=4, stack_factory=EchoStack)
     assert cluster.capability.free_contexts(0) == 2
     assert cluster.capability.free_contexts(1) == 2
+
+
+def test_cached_table_reply_follows_registration(monkeypatch):
+    """The seed encodes a group's table once per membership change: a rank
+    that joins after the first sync is in the next ``sync`` / ``table``
+    reply, one that leaves is not, and every table reply is byte-equal to
+    a fresh encoding of the registry at the moment it is sent."""
+    cluster = Cluster(nodes=4)
+    job = RteJob(cluster, stack_factory=EchoStack)
+    seed = job.seed
+    table_replies = []
+    send_encoded = OobChannel.send_encoded
+
+    def recording(self, thread, body):
+        if body.startswith(b'{"table"'):
+            fresh = {
+                json.dumps({"table": seed.group_table(g)}, separators=(",", ":")).encode()
+                for g in seed._group_members
+            }
+            table_replies.append(body in fresh)
+        yield from send_encoded(self, thread, body)
+
+    monkeypatch.setattr(OobChannel, "send_encoded", recording)
+    seen = {}
+
+    def child(stack):
+        yield stack.process.job.cluster.sim.timeout(0)
+
+    def parent(stack):
+        thread = stack.process.main_thread
+        if stack.process.rank == 0:
+            seen["first"] = sorted(stack.table)
+            spawn_procs(stack.process.job, [child], group="world")
+            table = yield from stack.process.oob_sync(thread, "world", 3)
+            seen["sync"] = sorted(table)
+            table = yield from stack.process.oob_table(thread, "world")
+            seen["table"] = sorted(table)
+            yield from thread.sleep(5000.0)  # the child finishes and deregisters
+            table = yield from stack.process.oob_table(thread, "world")
+            seen["after"] = sorted(table)
+        else:
+            yield from thread.sleep(10000.0)  # stays registered throughout
+
+    for rank in range(2):
+        job.launch(rank, parent, group="world", group_count=2)
+    job.wait()
+    assert seen == {"first": [0, 1], "sync": [0, 1, 2], "table": [0, 1, 2],
+                    "after": [0, 1]}
+    # two launch syncs, the child's sync, and rank 0's three requests
+    assert len(table_replies) == 6 and all(table_replies)
