@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.elan4.switch import Elite4Switch
 
@@ -40,13 +38,74 @@ class PartitionError(RuntimeError):
     """No healthy route exists between two leaves."""
 
 
+#: node name -> neighbour names (values unused), both in wiring order; the
+#: order decides which of several equal-length paths a route takes
+Graph = Dict[str, Dict[str, None]]
+
+
 def leaf_name(i: int) -> str:
     return f"nic:{i}"
 
 
+def _link(g: Graph, a: str, b: str) -> None:
+    g[a][b] = None
+    g[b][a] = None
+
+
+def _expand(g: Graph, level: List[str], seen: Dict[str, Optional[str]],
+            other: Dict[str, Optional[str]]) -> Tuple[List[str], Optional[str]]:
+    """One BFS level from ``level``: ``(next level, meeting node or None)``.
+    ``seen`` maps each reached node to the neighbour it was reached from;
+    the search stops at the first neighbour that ``other`` has reached."""
+    nxt: List[str] = []
+    for v in level:
+        for w in g[v]:
+            if w not in seen:
+                seen[w] = v
+                nxt.append(w)
+            if w in other:
+                return nxt, w
+    return nxt, None
+
+
+def shortest_path(g: Graph, source: str, target: str) -> Optional[List[str]]:
+    """A shortest ``source``→``target`` path, or ``None`` if there is none.
+
+    Bidirectional BFS that always expands the smaller fringe, the forward
+    one on a tie, and stops at the first node both searches have reached:
+    networkx's ``bidirectional_shortest_path``.  Its choice among
+    equal-length paths, and so the plane a route takes, is part of the
+    model (``tests/elan4/test_routes_golden.py``).
+    """
+    if source not in g or target not in g:
+        return None
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    forward, reverse = [source], [target]
+    meet = None
+    while forward and reverse and meet is None:
+        if len(forward) <= len(reverse):
+            forward, meet = _expand(g, forward, pred, succ)
+        else:
+            reverse, meet = _expand(g, reverse, succ, pred)
+    if meet is None:
+        return None
+    path: List[str] = []
+    node: Optional[str] = meet
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = succ[meet]
+    while node is not None:
+        path.append(node)
+        node = succ[node]
+    return path
+
+
 @dataclass
 class Topology:
-    """The wired fabric: a networkx graph plus switch objects and routes.
+    """The wired fabric: an adjacency map plus switch objects and routes.
 
     Health state lives here: ``dead_switches`` / ``dead_links`` mask out
     fabric elements, and routes are recomputed lazily against the healthy
@@ -54,7 +113,7 @@ class Topology:
     after a fault or repair — the fabric-level recovery metric.
     """
 
-    graph: nx.Graph
+    graph: Graph
     leaves: List[str]
     switches: Dict[str, Elite4Switch]
     dead_switches: Set[str] = field(default_factory=set)
@@ -65,7 +124,7 @@ class Topology:
     #: (a, b) with a <= b  ->  (epoch, interior switch names or None)
     _routes: Dict[tuple, tuple] = field(default_factory=dict)
     _healthy_epoch: int = -1
-    _healthy_cache: Optional[nx.Graph] = None
+    _healthy_cache: Optional[Graph] = None
     #: directional (a, b) -> (epoch, (hops, switch objects) or None) — the
     #: fabric's per-packet fast path; same epoch invalidation as ``_routes``
     _fast_routes: Dict[tuple, tuple] = field(default_factory=dict)
@@ -87,7 +146,7 @@ class Topology:
 
     def fail_link(self, a: str, b: str) -> None:
         link = frozenset((a, b))
-        if not self.graph.has_edge(a, b):
+        if b not in self.graph.get(a, ()):
             raise KeyError(f"no link between {a!r} and {b!r}")
         if link not in self.dead_links:
             self.dead_links.add(link)
@@ -102,25 +161,36 @@ class Topology:
     def fail_leaf(self, i: int) -> None:
         """Sever every cable on leaf ``i`` — the partition primitive."""
         leaf = leaf_name(i)
-        for nbr in self.graph.neighbors(leaf):
+        for nbr in self.graph[leaf]:
             self.fail_link(leaf, nbr)
 
     def restore_leaf(self, i: int) -> None:
         leaf = leaf_name(i)
-        for nbr in self.graph.neighbors(leaf):
+        for nbr in self.graph[leaf]:
             self.restore_link(leaf, nbr)
 
     @property
     def faulty(self) -> bool:
         return bool(self.dead_switches or self.dead_links)
 
-    def _healthy_graph(self) -> nx.Graph:
+    def _healthy_graph(self) -> Graph:
         if not self.faulty:
             return self.graph
         if self._healthy_epoch != self._epoch:
-            g = self.graph.copy()
-            g.remove_nodes_from([s for s in self.dead_switches if s in g])
-            g.remove_edges_from([tuple(link) for link in self.dead_links])
+            # nx.Graph.copy()'s neighbour order: nodes in order, then each
+            # edge both ways as first met.  Routes around faults follow it.
+            g: Graph = {name: {} for name in self.graph}
+            for a, nbrs in self.graph.items():
+                for b in nbrs:
+                    _link(g, a, b)
+            for name in self.dead_switches:
+                for nbr in g.pop(name):
+                    del g[nbr][name]
+            for link in self.dead_links:
+                a, b = tuple(link)
+                if b in g.get(a, ()):
+                    del g[a][b]
+                    del g[b][a]
             self._healthy_cache = g
             self._healthy_epoch = self._epoch
         return self._healthy_cache
@@ -137,12 +207,10 @@ class Topology:
         if cached is not None and cached[0] == self._epoch:
             interior = cached[1]
         else:
-            g = self._healthy_graph()
-            try:
-                path = nx.shortest_path(g, leaf_name(key[0]), leaf_name(key[1]))
-                interior = path[1:-1]
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                interior = None
+            path = shortest_path(
+                self._healthy_graph(), leaf_name(key[0]), leaf_name(key[1])
+            )
+            interior = None if path is None else path[1:-1]
             if cached is not None and cached[1] != interior:
                 self.reroutes += 1
             self._routes[key] = (self._epoch, interior)
@@ -212,17 +280,15 @@ def build_quaternary_fat_tree(n_leaves: int, redundancy: int = 2) -> Topology:
         raise ValueError("need at least one leaf")
     if not 1 <= redundancy <= DOWN_LINKS:
         raise ValueError(f"redundancy must be in 1..{DOWN_LINKS}")
-    g = nx.Graph()
     switches: Dict[str, Elite4Switch] = {}
     leaves = [leaf_name(i) for i in range(n_leaves)]
-    for name in leaves:
-        g.add_node(name, kind="nic")
+    g: Graph = {name: {} for name in leaves}
 
     def add_switch(stage: int, idx: int, plane: int = 0) -> Elite4Switch:
         name = f"sw{stage}.{idx}" if plane == 0 else f"sw{stage}.{idx}p{plane}"
         sw = Elite4Switch(name)
         switches[name] = sw
-        g.add_node(name, kind="switch", stage=stage, plane=plane)
+        g[name] = {}
         return sw
 
     if n_leaves <= Elite4Switch.RADIX:
@@ -231,7 +297,7 @@ def build_quaternary_fat_tree(n_leaves: int, redundancy: int = 2) -> Topology:
         sw = add_switch(0, 0)
         for port, leaf in enumerate(leaves):
             sw.connect(port, leaf)
-            g.add_edge(sw.name, leaf)
+            _link(g, sw.name, leaf)
         return Topology(graph=g, leaves=leaves, switches=switches)
 
     # stage 0: leaves onto first-stage switches (shared by all planes)
@@ -244,7 +310,7 @@ def build_quaternary_fat_tree(n_leaves: int, redundancy: int = 2) -> Topology:
             if leaf_idx >= n_leaves:
                 break
             sw.connect(port, leaves[leaf_idx])
-            g.add_edge(sw.name, leaves[leaf_idx])
+            _link(g, sw.name, leaves[leaf_idx])
 
     # upper stages, once per redundant plane
     for plane in range(redundancy):
@@ -265,7 +331,7 @@ def build_quaternary_fat_tree(n_leaves: int, redundancy: int = 2) -> Topology:
                     # inside a plane have a single parent
                     up_port = DOWN_LINKS + (plane if child in stage0 else 0)
                     child.connect(up_port, sw.name)
-                    g.add_edge(sw.name, child.name)
+                    _link(g, sw.name, child.name)
             current = parents
             stage += 1
 

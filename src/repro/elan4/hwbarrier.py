@@ -90,6 +90,11 @@ class HwBarrierGroup:
         #: per-member host-side barrier counter
         self._host_round: List[int] = [0] * len(self.members)
         self._member_of = {ctx.vpid: i for i, ctx in enumerate(self.members)}
+        #: NIC -> indices of the members it hosts, in member order: the
+        #: members a release packet at that NIC fires, in this order
+        self._members_on: Dict["Elan4Nic", List[int]] = {}
+        for i, ctx in enumerate(self.members):
+            self._members_on.setdefault(ctx.nic, []).append(i)
         self.barriers_completed = 0
 
     # -- tree shape --------------------------------------------------------
@@ -185,9 +190,8 @@ class HwBarrierGroup:
         if phase == "gather":
             self._round_state(pkt.meta["member"], rnd).gather.fire()
         elif phase == "release":
-            for i, ctx in enumerate(self.members):
-                if ctx.nic is nic:
-                    self._round_state(i, rnd).release.fire()
+            for i in self._members_on[nic]:
+                self._round_state(i, rnd).release.fire()
         else:  # pragma: no cover - defensive
             nic.drop_packet(pkt, reason=f"hwbarrier: unknown phase {phase!r}")
 
@@ -225,12 +229,7 @@ class HwBarrierGroup:
     # -- receive plumbing --------------------------------------------------
     def install_receivers(self) -> None:
         """Register the per-NIC dispatch for gather tokens and releases."""
-        seen = []
-        for ctx in self.members:
-            nic = ctx.nic
-            if any(nic is n for n in seen):
-                continue
-            seen.append(nic)
+        for nic in self._members_on:
             handlers = nic._dispatch
             if "hwbarrier" not in handlers:
                 handlers["hwbarrier"] = _make_node_handler(nic)
